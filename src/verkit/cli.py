@@ -308,7 +308,9 @@ def main(argv=None) -> int:
     except VerkitError as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (
+        OSError, json.JSONDecodeError, KeyError, TypeError, ValueError
+    ) as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2
 

@@ -51,6 +51,11 @@ class InstanceTooLarge(VerkitError):
     (VK_BRUTE_LIMIT environment variable, default 10**8 assignments)."""
 
 
+class BadWorkLimit(VerkitError):
+    """The VK_BRUTE_LIMIT environment variable is set but is not an
+    integer."""
+
+
 class NumericalResidual(VerkitError):
     """The trigonometric closed form failed to land within tolerance of an
     integer."""

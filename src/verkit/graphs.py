@@ -24,6 +24,8 @@ from .errors import (
     DanglingReference,
     DisconnectedGraph,
     IsLeg,
+    NonTrivalentGraph,
+    NotATree,
     UnstableSignature,
     UnstableVertex,
 )
@@ -357,8 +359,6 @@ def total_genus(graph: MarkedGraph) -> int:
 
 def require_trivalent(graph: MarkedGraph) -> None:
     """Raise NonTrivalentGraph unless every vertex is 3-valent with genus 0."""
-    from .errors import NonTrivalentGraph
-
     if not graph.is_trivalent():
         bad = [
             vid
@@ -368,6 +368,15 @@ def require_trivalent(graph: MarkedGraph) -> None:
         raise NonTrivalentGraph(
             f"need a trivalent graph with genus-0 vertices; offending "
             f"vertices: {bad}"
+        )
+
+
+def require_tree(graph: MarkedGraph) -> None:
+    """Raise NotATree unless the graph has no cycles and genus-0 vertices."""
+    if not graph.is_tree():
+        raise NotATree(
+            f"first Betti number {graph.first_betti}, vertex genera "
+            f"{sorted(g for _, g in graph.vertices)}"
         )
 
 

@@ -14,9 +14,11 @@ on which trivalent graph carries the computation.
 
 Two independent counting routes are kept deliberately separate:
 :func:`count_points` contracts 0/1 fusion tensors over the internal edges
-(exact integer arithmetic on object arrays), while
-:func:`count_points_bruteforce` literally enumerates all (L+1)^E internal
-assignments.  Tests pit them against each other.
+(exact integer arithmetic on object arrays), while the literal oracle
+:func:`_walk` visits every assignment of values to the slots and tests each
+vertex.  Tests pit them against each other.  :func:`count_points_bruteforce`,
+:func:`enumerate_points`, :func:`count_classical` and the semigroup checks
+all walk through it, so the VK_BRUTE_LIMIT work cap lives in one place.
 """
 
 from __future__ import annotations
@@ -25,17 +27,13 @@ import itertools
 import json
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import (
-    GraphMismatch,
-    InstanceTooLarge,
-    NotATree,
-)
-from .graphs import MarkedGraph, require_trivalent as _require_trivalent
+from .errors import BadWorkLimit, GraphMismatch, InstanceTooLarge
+from .graphs import MarkedGraph, require_tree, require_trivalent
 
 DEFAULT_BRUTE_LIMIT = 10**8
 
@@ -45,7 +43,12 @@ def brute_limit() -> int:
     raw = os.environ.get("VK_BRUTE_LIMIT")
     if raw is None:
         return DEFAULT_BRUTE_LIMIT
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise BadWorkLimit(
+            f"VK_BRUTE_LIMIT={raw!r} is not an integer"
+        ) from None
 
 
 # -- admissibility --------------------------------------------------------
@@ -157,7 +160,7 @@ def _leg_vector(graph: MarkedGraph, leaf_weights) -> tuple[int, ...]:
 
 def is_point(graph: MarkedGraph, w: LevelledWeighting) -> bool:
     """Does the weighting satisfy every vertex condition at its level?"""
-    _require_trivalent(graph)
+    require_trivalent(graph)
     if w.graph != graph:
         raise GraphMismatch("weighting lives on a different graph")
     L = w.level
@@ -277,11 +280,6 @@ def _contract_all(graph: MarkedGraph, level: int, legs) -> int:
             live.append((axes, res))
         else:
             scalar *= res.item() if isinstance(res, np.ndarray) else res
-
-    if live:
-        axes, arr = live[0]
-        # remaining axes can only be absent partners; sum them defensively
-        scalar *= arr.sum().item() if axes else arr.item()
     return int(scalar)
 
 
@@ -291,7 +289,7 @@ def count_points(graph: MarkedGraph, leaf_weights, level: int) -> int:
     Exact tensor contraction over the internal edges; arbitrary precision.
     Leg values outside 0..level make the count 0.
     """
-    _require_trivalent(graph)
+    require_trivalent(graph)
     legs = _leg_vector(graph, leaf_weights)
     if level < 0:
         return 0
@@ -300,61 +298,71 @@ def count_points(graph: MarkedGraph, leaf_weights, level: int) -> int:
     return _contract_all(graph, level, legs)
 
 
+# -- the literal oracle ----------------------------------------------------
+
+
+def _walk(graph: MarkedGraph, legs, bound: int, admissible) -> Iterator[tuple]:
+    """Every weighting with values in 0..bound that is admissible at each
+    vertex, as slot-value tuples (edges, then legs), in lexicographic order.
+
+    legs: fixed leg values in label order, or None to walk the legs too.
+    admissible(a, b, c) is the vertex rule.  Nothing is yielded when a fixed
+    leg value lies outside 0..bound.  Raises InstanceTooLarge when the
+    assignment count exceeds the VK_BRUTE_LIMIT cap.  Independent of the
+    tensor route on purpose.
+    """
+    if bound < 0 or legs is not None and not all(0 <= w <= bound for w in legs):
+        return
+    ne = len(graph.edges)
+    width = ne + graph.n_legs if legs is None else ne
+    total = (bound + 1) ** width
+    limit = brute_limit()
+    if total > limit:
+        raise InstanceTooLarge(
+            f"{total} assignments exceeds the work cap {limit}"
+        )
+    # slot positions in a point: edge i at i, leg label l at ne + l - 1
+    stars = [
+        tuple(i if kind == "e" else ne + i - 1 for kind, i in slots)
+        for slots in graph.slots_at.values()
+    ]
+    axes = [range(bound + 1)] * width + [(w,) for w in legs or ()]
+    for point in itertools.product(*axes):
+        for i, j, k in stars:
+            if not admissible(point[i], point[j], point[k]):
+                break
+        else:
+            yield point
+
+
+def _level_points(
+    graph: MarkedGraph, legs, level: int
+) -> Iterator[LevelledWeighting]:
+    """The level-truncated walk, as weightings."""
+    ne = len(graph.edges)
+    rule = partial(admissible_triple_level, level=level)
+    for point in _walk(graph, legs, level, rule):
+        yield LevelledWeighting(graph, point[:ne], point[ne:], level)
+
+
 def count_points_bruteforce(graph: MarkedGraph, leaf_weights, level: int) -> int:
     """Literal enumeration of all (level+1)^E internal assignments.
 
     Independent of the tensor route on purpose.  Raises InstanceTooLarge
     when the assignment count exceeds the VK_BRUTE_LIMIT cap.
     """
-    _require_trivalent(graph)
+    require_trivalent(graph)
     legs = _leg_vector(graph, leaf_weights)
-    if level < 0:
-        return 0
-    if any(w < 0 or w > level for w in legs):
-        return 0
-    ne = len(graph.edges)
-    total = (level + 1) ** ne
-    if total > brute_limit():
-        raise InstanceTooLarge(
-            f"{total} assignments exceeds the work cap {brute_limit()}"
-        )
-    stars = [graph.slots_at[vid] for vid, _ in graph.vertices]
-    count = 0
-    for ew in itertools.product(range(level + 1), repeat=ne):
-        ok = True
-        for slots in stars:
-            vals = [
-                ew[s[1]] if s[0] == "e" else legs[s[1] - 1] for s in slots
-            ]
-            if not admissible_triple_level(vals[0], vals[1], vals[2], level):
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    rule = partial(admissible_triple_level, level=level)
+    return sum(1 for _ in _walk(graph, legs, level, rule))
 
 
 def enumerate_points(
     graph: MarkedGraph, leaf_weights, level: int
 ) -> Iterator[LevelledWeighting]:
     """Yield admissible weightings in lexicographic edge-weight order."""
-    _require_trivalent(graph)
-    legs = _leg_vector(graph, leaf_weights)
-    if level < 0 or any(w < 0 or w > level for w in legs):
-        return
-    ne = len(graph.edges)
-    total = (level + 1) ** ne
-    if total > brute_limit():
-        raise InstanceTooLarge(
-            f"{total} assignments exceeds the work cap {brute_limit()}"
-        )
-    for ew in itertools.product(range(level + 1), repeat=ne):
-        w = LevelledWeighting(graph, ew, legs, level)
-        if all(
-            admissible_triple_level(*w.vertex_slot_values(vid), level)
-            for vid, _ in graph.vertices
-        ):
-            yield w
+    require_trivalent(graph)
+    yield from _level_points(graph, _leg_vector(graph, leaf_weights), level)
 
 
 def count_classical(tree: MarkedGraph, leaf_weights) -> int:
@@ -364,36 +372,10 @@ def count_classical(tree: MarkedGraph, leaf_weights) -> int:
     leaf weights by the triangle inequalities.  Literal enumeration,
     independent of the level-truncated routes.
     """
-    if not tree.is_tree():
-        raise NotATree(
-            f"first Betti number {tree.first_betti}, vertex genera "
-            f"{sorted(g for _, g in tree.vertices)}"
-        )
-    _require_trivalent(tree)
+    require_tree(tree)
+    require_trivalent(tree)
     legs = _leg_vector(tree, leaf_weights)
-    if any(w < 0 for w in legs):
-        return 0
-    bound = sum(legs)
-    ne = len(tree.edges)
-    total = (bound + 1) ** ne
-    if total > brute_limit():
-        raise InstanceTooLarge(
-            f"{total} assignments exceeds the work cap {brute_limit()}"
-        )
-    count = 0
-    for ew in itertools.product(range(bound + 1), repeat=ne):
-        ok = True
-        for vid, _ in tree.vertices:
-            vals = [
-                ew[s[1]] if s[0] == "e" else legs[s[1] - 1]
-                for s in tree.slots_at[vid]
-            ]
-            if not admissible_triple(vals[0], vals[1], vals[2]):
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    return sum(1 for _ in _walk(tree, legs, sum(legs), admissible_triple))
 
 
 def count_cox(graph: MarkedGraph, level: int) -> int:
@@ -402,7 +384,7 @@ def count_cox(graph: MarkedGraph, level: int) -> int:
     Summing leg values over 0..level turns the count into the dimension of
     the degree-level piece of the total coordinate ring grading.
     """
-    _require_trivalent(graph)
+    require_trivalent(graph)
     if level < 0:
         return 0
     return _contract_all(graph, level, None)

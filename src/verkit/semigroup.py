@@ -11,26 +11,20 @@ that re-verify by addition.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import (
-    CounterexampleFound,
-    GraphMismatch,
-    InstanceTooLarge,
-    NotATree,
-)
-from .graphs import MarkedGraph
+from .errors import CounterexampleFound, GraphMismatch
+from .graphs import MarkedGraph, require_tree, require_trivalent
 from .lattice import (
     LevelledWeighting,
     admissible_triple_level,
-    brute_limit,
     count_cox,
     count_points,
+    is_point,
     _leg_vector,
-    _require_trivalent,
+    _level_points,
 )
 
 
@@ -61,7 +55,7 @@ class HilbertTable:
 
 def hilbert_cox(graph: MarkedGraph, max_level: int) -> HilbertTable:
     """Dimensions of the level-graded pieces with legs summed out."""
-    _require_trivalent(graph)
+    require_trivalent(graph)
     values = tuple(count_cox(graph, L) for L in range(max_level + 1))
     return HilbertTable(graph, "cox", None, values)
 
@@ -70,7 +64,7 @@ def hilbert_projective(
     graph: MarkedGraph, leaf_weights, level: int, max_degree: int
 ) -> HilbertTable:
     """Dimensions along the dilation (N*r, N*level), N = 0..max_degree."""
-    _require_trivalent(graph)
+    require_trivalent(graph)
     r = _leg_vector(graph, leaf_weights)
     values = tuple(
         count_points(graph, tuple(N * x for x in r), N * level)
@@ -82,7 +76,7 @@ def hilbert_projective(
 # -- interior points and the Gorenstein test ------------------------------
 
 
-def _strictly_interior(w: LevelledWeighting, strict_slot_bounds: bool) -> bool:
+def _strictly_interior(w: LevelledWeighting) -> bool:
     L = w.level
     for vid, _ in w.graph.vertices:
         a, b, c = w.vertex_slot_values(vid)
@@ -92,48 +86,29 @@ def _strictly_interior(w: LevelledWeighting, strict_slot_bounds: bool) -> bool:
             return False
         if not (a < b + c and b < a + c and c < a + b):
             return False
-        if strict_slot_bounds and not all(0 < x < L for x in (a, b, c)):
-            return False
     return True
 
 
 def _all_points(graph: MarkedGraph, level: int) -> Iterator[LevelledWeighting]:
     """Every admissible weighting at the level, legs free, lex order."""
-    if level < 0:
-        return
-    width = len(graph.edges) + graph.n_legs
-    total = (level + 1) ** width
-    if total > brute_limit():
-        raise InstanceTooLarge(
-            f"{total} assignments exceeds the work cap {brute_limit()}"
-        )
-    ne = len(graph.edges)
-    for comb in itertools.product(range(level + 1), repeat=width):
-        w = LevelledWeighting(graph, comb[:ne], comb[ne:], level)
-        if all(
-            admissible_triple_level(*w.vertex_slot_values(vid), level)
-            for vid, _ in graph.vertices
-        ):
-            yield w
+    return _level_points(graph, None, level)
 
 
 def interior_points(
-    graph: MarkedGraph, level_bound: int, *, strict_slot_bounds: bool = True
+    graph: MarkedGraph, level_bound: int
 ) -> Iterator[LevelledWeighting]:
     """Admissible weightings with every defining inequality strict.
 
     Strictness means: at each vertex the three triangle inequalities and
-    the level inequality (slot sum < 2L) hold strictly.  With
-    strict_slot_bounds (the default) every individual weight must also
-    satisfy 0 < w < L; for integer points this follows from the vertex
-    conditions, so the toggle only matters as documentation of the
-    alternative facet reading.  Levels run from 0 to level_bound; order is
-    (level, weights) lexicographic.
+    the level inequality (slot sum < 2L) hold strictly.  Every weight then
+    satisfies 0 < w < L as well: the strict triangle inequalities give
+    w > |b - c| >= 0, and 2w < a + b + c < 2L gives w < L.  Levels run
+    from 0 to level_bound; order is (level, weights) lexicographic.
     """
-    _require_trivalent(graph)
+    require_trivalent(graph)
     for level in range(level_bound + 1):
         for w in _all_points(graph, level):
-            if _strictly_interior(w, strict_slot_bounds):
+            if _strictly_interior(w):
                 yield w
 
 
@@ -144,17 +119,6 @@ def dualizing_weighting(graph: MarkedGraph) -> LevelledWeighting:
         (2,) * len(graph.edges),
         (2,) * graph.n_legs,
         4,
-    )
-
-
-def _is_semigroup_point(w: LevelledWeighting) -> bool:
-    if w.level < 0:
-        return False
-    if any(x < 0 for x in w.edge_weights + w.leg_weights):
-        return False
-    return all(
-        admissible_triple_level(*w.vertex_slot_values(vid), w.level)
-        for vid, _ in w.graph.vertices
     )
 
 
@@ -170,7 +134,7 @@ def gorenstein_check(
     (interior point, semigroup point it decomposes through); raises
     CounterexampleFound otherwise.
     """
-    _require_trivalent(graph)
+    require_trivalent(graph)
     omega = dualizing_weighting(graph)
     certificates = []
     for w in interior_points(graph, level_bound):
@@ -180,7 +144,7 @@ def gorenstein_check(
             tuple(x - 2 for x in w.leg_weights),
             w.level - 4,
         )
-        if not _is_semigroup_point(residual):
+        if not is_point(graph, residual):
             raise CounterexampleFound(
                 w, "interior point is not a dualizing shift of the semigroup"
             )
@@ -188,7 +152,7 @@ def gorenstein_check(
     for level in range(max(level_bound - 4, -1) + 1):
         for p in _all_points(graph, level):
             shifted = p + omega
-            if not _strictly_interior(shifted, True):
+            if not _strictly_interior(shifted):
                 raise CounterexampleFound(
                     shifted, "dualizing shift of a semigroup point not interior"
                 )
@@ -208,12 +172,8 @@ def degree_one_generation_check(
     re-verifies by addition; raises CounterexampleFound on the first point
     with no decomposition.
     """
-    if not tree.is_tree():
-        raise NotATree(
-            f"first Betti number {tree.first_betti}, vertex genera "
-            f"{sorted(g for _, g in tree.vertices)}"
-        )
-    _require_trivalent(tree)
+    require_tree(tree)
+    require_trivalent(tree)
     generators = list(_all_points(tree, 1))
     memo: dict[tuple, tuple | None] = {}
 

@@ -99,13 +99,14 @@ def test_count_graph_on_stdin(monkeypatch, capsys):
 
 
 def test_count_brute_respects_work_cap(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("VK_BRUTE_LIMIT", "10")
     path = tmp_path / "theta.json"
     path.write_text(json.dumps(theta_graph().to_json()))
-    code = main(["count", "--graph", str(path), "--weights", "", "--level", "3",
-                 "--brute"])
-    assert code == 2
-    assert "InstanceTooLarge" in capsys.readouterr().err
+    for limit, error in (("10", "InstanceTooLarge"), ("abc", "BadWorkLimit")):
+        monkeypatch.setenv("VK_BRUTE_LIMIT", limit)
+        code = main(["count", "--graph", str(path), "--weights", "",
+                     "--level", "3", "--brute"])
+        assert code == 2
+        assert error in capsys.readouterr().err
 
 
 def test_points_stream(cat_file, capsys):
@@ -257,6 +258,19 @@ def test_malformed_graph_file(tmp_path, capsys):
     code = main(["count", "--graph", str(path), "--weights", "", "--level", "1"])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_list_shaped_graph_is_input_error(tmp_path, capsys):
+    # vertices and legs as pairs rather than the objects to_json writes
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps(
+        {"vertices": [[0, 0], [1, 0]], "edges": [[0, 1]],
+         "legs": [[0, 1], [0, 2], [1, 3], [1, 4]]}
+    ))
+    code = main(["count", "--graph", str(path), "--weights", "1,1,1,1",
+                 "--level", "2"])
+    assert code == 2
+    assert "TypeError" in capsys.readouterr().err
 
 
 def test_residual_failure_exits_three(monkeypatch, capsys):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from verkit import (
+    BadWorkLimit,
     GraphMismatch,
     InstanceTooLarge,
     LevelledWeighting,
@@ -21,8 +22,11 @@ from verkit import (
     count_cox,
     count_points,
     count_points_bruteforce,
+    degree_one_generation_check,
     dumbbell,
     enumerate_points,
+    gorenstein_check,
+    interior_points,
     is_point,
     loop_with_leg,
     new_graph,
@@ -160,13 +164,31 @@ def test_enumerate_points_lexicographic():
     assert len(pts) == count_points(th, (), 2)
 
 
+# every literal walk, each on an instance past a cap of 10 assignments
+CAPPED_WALKS = [
+    lambda: count_points_bruteforce(theta_graph(), (), 3),
+    lambda: list(enumerate_points(theta_graph(), (), 3)),
+    lambda: count_classical(caterpillar(4), (3, 3, 3, 3)),
+    lambda: list(interior_points(theta_graph(), 3)),
+    lambda: gorenstein_check(theta_graph(), 8),
+    lambda: degree_one_generation_check(caterpillar(4), 3),
+]
+
+
 def test_brute_limit_env(monkeypatch):
     monkeypatch.setenv("VK_BRUTE_LIMIT", "10")
-    with pytest.raises(InstanceTooLarge):
-        count_points_bruteforce(theta_graph(), (), 3)
-    with pytest.raises(InstanceTooLarge):
-        list(enumerate_points(theta_graph(), (), 3))
+    for walk in CAPPED_WALKS:
+        with pytest.raises(InstanceTooLarge):
+            walk()
     # the tensor route is not capped
+    assert count_points(theta_graph(), (), 3) == 20
+
+
+def test_malformed_brute_limit(monkeypatch):
+    monkeypatch.setenv("VK_BRUTE_LIMIT", "abc")
+    for walk in CAPPED_WALKS:
+        with pytest.raises(BadWorkLimit, match="'abc'"):
+            walk()
     assert count_points(theta_graph(), (), 3) == 20
 
 

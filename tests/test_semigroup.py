@@ -111,13 +111,6 @@ def test_interior_order_level_then_lex():
     assert seen == sorted(seen)
 
 
-def test_strict_slot_bounds_toggle_is_noop():
-    for g in DESK_GRAPHS:
-        a = list(interior_points(g, 7, strict_slot_bounds=True))
-        b = list(interior_points(g, 7, strict_slot_bounds=False))
-        assert a == b
-
-
 def test_gorenstein_holds_with_reverifying_certificates():
     for g in DESK_GRAPHS:
         holds, certs = gorenstein_check(g, 8)
