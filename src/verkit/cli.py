@@ -277,9 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graphs", help="isomorphism classes of a signature")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--legs", type=int, required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--stable", action="store_true")
-    mode.add_argument("--trivalent", action="store_true")
+    p.add_argument("--stable", action="store_true")
     p.add_argument("--dot", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_graphs)
@@ -308,9 +306,7 @@ def main(argv=None) -> int:
     except VerkitError as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2
-    except (
-        OSError, json.JSONDecodeError, KeyError, TypeError, ValueError
-    ) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2
 

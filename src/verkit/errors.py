@@ -32,6 +32,11 @@ class DanglingReference(VerkitError):
     or the vertex list itself is malformed (duplicate ids)."""
 
 
+class BadGraphDocument(VerkitError):
+    """A graph document is not JSON of the shape MarkedGraph.to_json writes
+    (vertices and legs as objects, edges as vertex-id pairs)."""
+
+
 class IsLeg(VerkitError):
     """An edge operation was pointed at a leg slot."""
 

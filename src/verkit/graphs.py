@@ -13,13 +13,13 @@ occupies two slots *at its vertex* but is still a single edge.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
+    BadGraphDocument,
     BadLegLabels,
     DanglingReference,
     DisconnectedGraph,
@@ -32,8 +32,6 @@ from .errors import (
 
 # A slot is ("e", edge_index) or ("l", leg_label).
 Slot = tuple[str, int]
-
-_MAX_LABEL_PERMS = 2_000_000  # guard for pathologically symmetric inputs
 
 
 @dataclass(frozen=True)
@@ -156,9 +154,12 @@ class MarkedGraph:
 
         Isomorphisms must preserve vertex genus, the graph structure
         (including loop/parallel multiplicity), and fix every leg label.
-        Partition refinement on (genus, valence, leg labels, loop count)
-        narrows the candidate relabelings; the survivors are enumerated
-        exhaustively and the minimal encoding wins.  No use of hash(), so
+        Individualization-refinement: colour vertices by (genus, valence,
+        leg labels, loop count) and refine by neighbour colours; while a
+        cell has more than one vertex, individualize each vertex of the
+        first such cell in turn, refine, and recurse.  Every branch of the
+        search tree ends in a vertex order, and the least encoding over all
+        of them wins, so there is no work cap.  No use of hash(), so
         labels are stable across processes and platforms.
         """
         ids = [vid for vid, _ in self.vertices]
@@ -174,6 +175,42 @@ class MarkedGraph:
                 neighbors[a].append(b)
                 neighbors[b].append(a)
 
+        def refine(colors):
+            while True:
+                key = {
+                    vid: (colors[vid], tuple(sorted(colors[u] for u in neighbors[vid])))
+                    for vid in ids
+                }
+                new_colors = _rank(key, ids)
+                if len(set(new_colors.values())) == len(set(colors.values())):
+                    return new_colors
+                colors = new_colors
+
+        def encode(pi):
+            genus_seq = [0] * len(ids)
+            for vid in ids:
+                genus_seq[pi[vid]] = self.genus_of[vid]
+            edge_enc = sorted(
+                (min(pi[a], pi[b]), max(pi[a], pi[b])) for a, b in self.edges
+            )
+            leg_enc = [pi[v] for v, _lab in self.legs]  # legs already label-sorted
+            return (tuple(genus_seq), tuple(edge_enc), tuple(leg_enc))
+
+        def search(colors):
+            colors = refine(colors)
+            cells: dict[int, list[int]] = {}
+            for vid in ids:
+                cells.setdefault(colors[vid], []).append(vid)
+            cell = next(
+                (cells[c] for c in sorted(cells) if len(cells[c]) > 1), None
+            )
+            if cell is None:  # discrete: colours are the vertex order
+                return encode(colors)
+            return min(
+                search(_rank({u: (colors[u], u != v) for u in ids}, ids))
+                for v in cell
+            )
+
         key = {
             vid: (
                 self.genus_of[vid],
@@ -183,57 +220,7 @@ class MarkedGraph:
             )
             for vid in ids
         }
-        colors = _rank(key, ids)
-        while True:
-            key = {
-                vid: (colors[vid], tuple(sorted(colors[u] for u in neighbors[vid])))
-                for vid in ids
-            }
-            new_colors = _rank(key, ids)
-            if len(set(new_colors.values())) == len(set(colors.values())):
-                colors = new_colors
-                break
-            colors = new_colors
-
-        blocks: dict[int, list[int]] = {}
-        for vid in ids:
-            blocks.setdefault(colors[vid], []).append(vid)
-        ordered_blocks = [sorted(blocks[c]) for c in sorted(blocks)]
-
-        work = 1
-        for blk in ordered_blocks:
-            for k in range(2, len(blk) + 1):
-                work *= k
-            if work > _MAX_LABEL_PERMS:
-                raise DanglingReference(
-                    "graph too symmetric for exhaustive canonical labeling"
-                )
-
-        offsets = []
-        pos = 0
-        for blk in ordered_blocks:
-            offsets.append(pos)
-            pos += len(blk)
-
-        best = None
-        for perm_combo in itertools.product(
-            *(itertools.permutations(blk) for blk in ordered_blocks)
-        ):
-            pi = {}
-            for off, blk in zip(offsets, perm_combo):
-                for j, vid in enumerate(blk):
-                    pi[vid] = off + j
-            genus_seq = [0] * len(ids)
-            for vid in ids:
-                genus_seq[pi[vid]] = self.genus_of[vid]
-            edge_enc = sorted(
-                (min(pi[a], pi[b]), max(pi[a], pi[b])) for a, b in self.edges
-            )
-            leg_enc = [pi[v] for v, _lab in self.legs]  # legs already label-sorted
-            enc = (tuple(genus_seq), tuple(edge_enc), tuple(leg_enc))
-            if best is None or enc < best:
-                best = enc
-        return repr(best).encode("ascii")
+        return repr(search(_rank(key, ids))).encode("ascii")
 
     def canonical_hex(self) -> str:
         return self.canonical_label.hex()
@@ -249,13 +236,21 @@ class MarkedGraph:
 
     @staticmethod
     def from_json(data: dict | str) -> "MarkedGraph":
-        if isinstance(data, str):
-            data = json.loads(data)
-        return new_graph(
-            [(v["id"], v["genus"]) for v in data["vertices"]],
-            [tuple(e) for e in data["edges"]],
-            [(l["vertex"], l["label"]) for l in data["legs"]],
-        )
+        """Read the document to_json writes, as a dict or JSON text.
+
+        Raises BadGraphDocument if it is not JSON of that shape; a graph
+        that new_graph rejects raises the error new_graph gives.
+        """
+        try:
+            if isinstance(data, str):
+                data = json.loads(data)
+            return new_graph(
+                [(v["id"], v["genus"]) for v in data["vertices"]],
+                [tuple(e) for e in data["edges"]],
+                [(l["vertex"], l["label"]) for l in data["legs"]],
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BadGraphDocument(f"{type(exc).__name__}: {exc}") from exc
 
     def to_dot(self, name: str = "G") -> str:
         """Graphviz source; legs become labeled half-edges to phantom nodes."""
@@ -345,16 +340,6 @@ def new_graph(
 def are_isomorphic(g1: MarkedGraph, g2: MarkedGraph) -> bool:
     """Isomorphism preserving genera and fixing every leg label."""
     return g1.canonical_label == g2.canonical_label
-
-
-def canonical_form(graph: MarkedGraph) -> bytes:
-    """Function form of MarkedGraph.canonical_label."""
-    return graph.canonical_label
-
-
-def total_genus(graph: MarkedGraph) -> int:
-    """Function form of MarkedGraph.total_genus."""
-    return graph.total_genus
 
 
 def require_trivalent(graph: MarkedGraph) -> None:

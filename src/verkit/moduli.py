@@ -5,12 +5,14 @@ with its contraction (ancestor) Hasse diagram, cone dimensions, and the flip
 moves connecting trivalent classes through common one-edge-contraction
 ancestors.
 
-Generation is exhaustive-with-dedup: trivalent classes of (0,3) seed the
-recursion, larger leg counts come from inserting the new leg into every edge
-and leg slot, and higher genus comes from gluing the top two legs of the
-(g-1, n+2) classes (cutting any cycle edge inverts this, so the gluing step
-is surjective).  Canonical labels dedup everything; output is sorted by
-label, so ordering is stable across runs.
+Generation is exhaustive-with-dedup, with one route per signature: (0,3)
+seeds the recursion.  Wherever (g, n-1) is stable, the classes come from
+inserting leg n into every edge and leg slot of the (g, n-1) classes
+(removing leg n and smoothing its vertex inverts this, so insertion alone
+reaches every class).  Only where insertion cannot reach, at n = 0 and at
+(1,1), do they come from gluing the top two legs of the (g-1, n+2) classes
+(cutting any cycle edge inverts this).  Canonical labels dedup everything;
+output is sorted by label, so ordering is stable across runs.
 """
 
 from __future__ import annotations
@@ -119,29 +121,37 @@ def enumerate_trivalent(genus: int, n_legs: int) -> tuple[MarkedGraph, ...]:
             for slot in slots:
                 cand = _insert_leg(g, slot, n_legs)
                 found.setdefault(cand.canonical_label, cand)
-    if genus > 0:
+    else:
         for g in enumerate_trivalent(genus - 1, n_legs + 2):
             cand = _glue_top_legs(g, n_legs)
             found.setdefault(cand.canonical_label, cand)
     return tuple(found[k] for k in sorted(found))
 
 
-def enumerate_stable(genus: int, n_legs: int) -> tuple[MarkedGraph, ...]:
-    """All stable classes of the signature: the contraction closure of the
-    trivalent ones (every stable graph smooths out to a trivalent one)."""
+def _stable_closure(
+    genus: int, n_legs: int
+) -> tuple[tuple[MarkedGraph, ...], set[tuple[bytes, bytes]]]:
+    """The stable classes sorted by label, and the (label, label) pairs of
+    the single contractions found while closing over them."""
     _check_signature(genus, n_legs)
-    found: dict[bytes, MarkedGraph] = {}
-    queue = list(enumerate_trivalent(genus, n_legs))
-    for g in queue:
-        found.setdefault(g.canonical_label, g)
+    found = {g.canonical_label: g for g in enumerate_trivalent(genus, n_legs)}
+    queue = list(found.values())
+    hasse = set()
     while queue:
         g = queue.pop()
         for e in range(len(g.edges)):
             c = g.contract_edge(e)
+            hasse.add((g.canonical_label, c.canonical_label))
             if c.canonical_label not in found:
                 found[c.canonical_label] = c
                 queue.append(c)
-    return tuple(found[k] for k in sorted(found))
+    return tuple(found[k] for k in sorted(found)), hasse
+
+
+def enumerate_stable(genus: int, n_legs: int) -> tuple[MarkedGraph, ...]:
+    """All stable classes of the signature: the contraction closure of the
+    trivalent ones (every stable graph smooths out to a trivalent one)."""
+    return _stable_closure(genus, n_legs)[0]
 
 
 def _expansions(graph: MarkedGraph, e: int):
@@ -208,36 +218,33 @@ def flip_neighbors(graph: MarkedGraph) -> tuple[FlipMove, ...]:
     return tuple(moves[k] for k in sorted(moves))
 
 
+def _flips(
+    classes: tuple[MarkedGraph, ...]
+) -> tuple[tuple[int, int, bytes], ...]:
+    """(i, j, ancestor label) for every flip between trivalent classes."""
+    index = {g.canonical_label: i for i, g in enumerate(classes)}
+    flips = set()
+    for i, g in enumerate(classes):
+        if g.is_trivalent():
+            for mv in flip_neighbors(g):
+                j = index[mv.neighbor.canonical_label]
+                flips.add((i, j, mv.ancestor.canonical_label))
+    return tuple(sorted(flips))
+
+
 def contraction_poset(genus: int, n_legs: int) -> StratumComplex:
     """Hasse diagram of single contractions on all stable classes, plus
     flip adjacency among the trivalent ones."""
-    classes = enumerate_stable(genus, n_legs)
+    classes, pairs = _stable_closure(genus, n_legs)
     index = {g.canonical_label: i for i, g in enumerate(classes)}
-    hasse = set()
-    for i, g in enumerate(classes):
-        for e in range(len(g.edges)):
-            j = index[g.contract_edge(e).canonical_label]
-            hasse.add((i, j))
-    flips = set()
-    for i, g in enumerate(classes):
-        if not g.is_trivalent():
-            continue
-        for mv in flip_neighbors(g):
-            j = index[mv.neighbor.canonical_label]
-            flips.add((i, j, mv.ancestor.canonical_label))
-    return StratumComplex(classes, tuple(sorted(hasse)), tuple(sorted(flips)))
+    hasse = sorted((index[a], index[b]) for a, b in pairs)
+    return StratumComplex(classes, tuple(hasse), _flips(classes))
 
 
 def flip_complex(genus: int, n_legs: int) -> StratumComplex:
     """Flip structure restricted to the trivalent classes only."""
     classes = enumerate_trivalent(genus, n_legs)
-    index = {g.canonical_label: i for i, g in enumerate(classes)}
-    flips = set()
-    for i, g in enumerate(classes):
-        for mv in flip_neighbors(g):
-            j = index[mv.neighbor.canonical_label]
-            flips.add((i, j, mv.ancestor.canonical_label))
-    return StratumComplex(classes, (), tuple(sorted(flips)))
+    return StratumComplex(classes, (), _flips(classes))
 
 
 def flip_connectivity(genus: int, n_legs: int) -> tuple[bool, int]:

@@ -170,45 +170,34 @@ def degree_one_generation_check(
     Trees only (this is the genus-0 generation statement).  Returns
     (True, certificates) mapping each point to a decomposition that
     re-verifies by addition; raises CounterexampleFound on the first point
-    with no decomposition.
+    with no decomposition.  The table is built level by level: a level-l
+    point's certificate is the first generator whose difference is a
+    certified level-(l-1) point, followed by that point's certificate.
     """
     require_tree(tree)
     require_trivalent(tree)
     generators = list(_all_points(tree, 1))
-    memo: dict[tuple, tuple | None] = {}
-
-    def decompose(edges, legs, k):
-        if k == 0:
-            return () if not any(edges) and not any(legs) else None
-        key = (edges, legs, k)
-        if key in memo:
-            return memo[key]
-        result = None
-        for gen in generators:
-            ge, gl = gen.edge_weights, gen.leg_weights
-            if all(x >= y for x, y in zip(edges, ge)) and all(
-                x >= y for x, y in zip(legs, gl)
-            ):
-                rest = decompose(
-                    tuple(x - y for x, y in zip(edges, ge)),
-                    tuple(x - y for x, y in zip(legs, gl)),
-                    k - 1,
-                )
-                if rest is not None:
-                    result = (gen,) + rest
-                    break
-        memo[key] = result
-        return result
-
     certificates = {}
+    below: dict[tuple, tuple] = {}  # certified points of the level below
     for level in range(level_bound + 1):
+        table = {}
         for w in _all_points(tree, level):
-            parts = decompose(w.edge_weights, w.leg_weights, level)
+            ew, lw = w.edge_weights, w.leg_weights
+            parts = () if level == 0 else None
+            for gen in generators:
+                rest = (
+                    tuple(x - y for x, y in zip(ew, gen.edge_weights)),
+                    tuple(x - y for x, y in zip(lw, gen.leg_weights)),
+                )
+                if rest in below:
+                    parts = (gen,) + below[rest]
+                    break
             if parts is None:
                 raise CounterexampleFound(
                     w, f"no decomposition into {level} level-1 points"
                 )
-            certificates[w] = parts
+            table[ew, lw] = certificates[w] = parts
+        below = table
     return True, certificates
 
 

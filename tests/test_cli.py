@@ -179,7 +179,7 @@ def test_gen1_rejects_loops(tmp_path, capsys):
 
 
 def test_graphs_trivalent_listing(capsys):
-    code = main(["graphs", "--genus", "0", "--legs", "5", "--trivalent"])
+    code = main(["graphs", "--genus", "0", "--legs", "5"])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 15
@@ -270,7 +270,7 @@ def test_list_shaped_graph_is_input_error(tmp_path, capsys):
     code = main(["count", "--graph", str(path), "--weights", "1,1,1,1",
                  "--level", "2"])
     assert code == 2
-    assert "TypeError" in capsys.readouterr().err
+    assert "BadGraphDocument" in capsys.readouterr().err
 
 
 def test_residual_failure_exits_three(monkeypatch, capsys):

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from verkit import (
+    BadGraphDocument,
     BadLegLabels,
     DanglingReference,
     DisconnectedGraph,
@@ -15,13 +17,11 @@ from verkit import (
     MarkedGraph,
     UnstableVertex,
     are_isomorphic,
-    canonical_form,
     caterpillar,
     dumbbell,
     loop_with_leg,
     new_graph,
     theta_graph,
-    total_genus,
     trinode,
 )
 
@@ -42,11 +42,11 @@ def test_caterpillar_3_is_trinode():
 
 
 def test_total_genus_counts_cycles_and_vertex_genus():
-    assert total_genus(trinode()) == 0
-    assert total_genus(dumbbell()) == 2
-    assert total_genus(theta_graph()) == 2
+    assert trinode().total_genus == 0
+    assert dumbbell().total_genus == 2
+    assert theta_graph().total_genus == 2
     g = new_graph([(0, 1)], [(0, 0)], [(0, 1)])  # genus-1 vertex with a loop
-    assert total_genus(g) == 2
+    assert g.total_genus == 2
 
 
 def test_new_graph_rejects_disconnected():
@@ -101,14 +101,14 @@ def test_contract_bridge_merges_and_sums_genus():
     c = g.contract_edge(0)
     assert len(c.vertices) == 1
     assert c.vertices[0][1] == 3
-    assert total_genus(c) == total_genus(g) == 3
+    assert c.total_genus == g.total_genus == 3
 
 
 def test_contract_loop_bumps_genus():
     g = dumbbell()
     loops = [i for i, (a, b) in enumerate(g.edges) if a == b]
     c = g.contract_edge(loops[0])
-    assert total_genus(c) == 2
+    assert c.total_genus == 2
     assert sorted(gen for _, gen in c.vertices) == [0, 1]
 
 
@@ -117,7 +117,7 @@ def test_contract_parallel_edge_makes_loops():
     assert len(c.vertices) == 1
     assert len(c.edges) == 2
     assert all(a == b for a, b in c.edges)
-    assert total_genus(c) == 2
+    assert c.total_genus == 2
 
 
 def test_contract_edge_slot_errors():
@@ -137,7 +137,7 @@ def test_isomorphism_ignores_vertex_ids_and_edge_order():
     g1 = new_graph([(0, 0), (1, 0)], [(0, 0), (0, 1), (1, 1)], [])
     g2 = new_graph([(7, 0), (3, 0)], [(3, 3), (7, 3), (7, 7)], [])
     assert are_isomorphic(g1, g2)
-    assert canonical_form(g1) == canonical_form(g2)
+    assert g1.canonical_label == g2.canonical_label
 
 
 def test_isomorphism_distinguishes_theta_from_dumbbell():
@@ -182,7 +182,54 @@ def test_canonical_label_invariant_under_relabeling(perm, data):
 def test_canonical_label_stable_under_edge_reordering():
     g1 = new_graph([(0, 0), (1, 0)], [(0, 0), (0, 1), (1, 1)], [])
     g2 = new_graph([(0, 0), (1, 0)], [(1, 1), (0, 1), (0, 0)], [])
-    assert canonical_form(g1) == canonical_form(g2)
+    assert g1.canonical_label == g2.canonical_label
+
+
+def _cubic(edges):
+    return new_graph([(v, 0) for v in sorted({v for e in edges for v in e})],
+                     edges, [])
+
+
+def _relabeled(graph, seed):
+    rng = random.Random(seed)
+    ids = [vid for vid, _ in graph.vertices]
+    fresh = dict(zip(ids, rng.sample(range(100), len(ids))))
+    edges = [(fresh[a], fresh[b]) for a, b in graph.edges]
+    rng.shuffle(edges)
+    return new_graph([(fresh[v], g) for v, g in graph.vertices], edges, [])
+
+
+def test_canonical_label_on_vertex_transitive_graphs():
+    ring = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    petersen = _cubic(ring + spokes + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    prism = _cubic(ring + spokes + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
+    cube = _cubic([(a, b) for a in range(8) for b in range(a + 1, 8)
+                   if bin(a ^ b).count("1") == 1])
+    for graph in (petersen, prism, cube):
+        for seed in range(3):
+            assert _relabeled(graph, seed).canonical_label == graph.canonical_label
+    assert petersen.signature() == prism.signature() == (6, 0)
+    assert petersen.canonical_label != prism.canonical_label
+
+
+def test_from_json_rejects_malformed_documents():
+    good = caterpillar(4).to_json()
+    documents = [
+        dict(good, vertices=[[0, 0], [1, 0]]),  # vertices as pairs
+        {k: v for k, v in good.items() if k != "legs"},
+        dict(good, edges=[1]),
+        [good],
+        "{not json",
+    ]
+    for doc in documents:
+        with pytest.raises(BadGraphDocument):
+            MarkedGraph.from_json(doc)
+        if not isinstance(doc, str):
+            with pytest.raises(BadGraphDocument):
+                MarkedGraph.from_json(json.dumps(doc))
+    with pytest.raises(DanglingReference):  # well formed, but not a graph
+        MarkedGraph.from_json(dict(good, edges=[[0, 7]]))
 
 
 def test_json_round_trip_schema():
@@ -193,7 +240,7 @@ def test_json_round_trip_schema():
     assert all(set(l) == {"vertex", "label"} for l in data["legs"])
     back = MarkedGraph.from_json(json.dumps(data))
     assert back == g
-    assert canonical_form(back) == canonical_form(g)
+    assert back.canonical_label == g.canonical_label
 
 
 def test_dot_output_mentions_structure():

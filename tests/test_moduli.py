@@ -33,6 +33,10 @@ def test_trivalent_class_counts():
     assert len(enumerate_trivalent(1, 2)) == 2
     assert len(enumerate_trivalent(2, 0)) == 2
     assert len(enumerate_trivalent(2, 1)) == 3
+    # connected cubic multigraphs with loops allowed, OEIS A005967
+    assert len(enumerate_trivalent(3, 0)) == 5
+    assert len(enumerate_trivalent(4, 0)) == 17
+    assert len(enumerate_trivalent(5, 0)) == 71
 
 
 def test_trivalent_classes_have_right_shape():

@@ -156,6 +156,22 @@ def test_degree_one_generation_caterpillar():
     )
 
 
+def test_degree_one_certificates_match_literal_search():
+    # each certificate is the first l-tuple of generators, in generator
+    # order, that sums to the point
+    cat = caterpillar(4)
+    holds, certs = degree_one_generation_check(cat, 3)
+    zero = LevelledWeighting(cat, (0,), (0, 0, 0, 0), 0)
+    generators = [w for w in certs if w.level == 1]
+    for w, parts in certs.items():
+        first = next(
+            combo
+            for combo in itertools.product(generators, repeat=w.level)
+            if sum(combo, start=zero) == w
+        )
+        assert parts == first
+
+
 def test_degree_one_generation_all_five_leaf_trees():
     for tree in enumerate_trivalent(0, 5):
         holds, _ = degree_one_generation_check(tree, 2)
