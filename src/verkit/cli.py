@@ -3,7 +3,8 @@
 Every computation in the package is reachable through a subcommand; output
 is deterministic, arbitrary-precision decimal on stdout, errors on stderr.
 Exit codes: 0 success, 2 domain error (error class name included in the
-message), 3 numerical residual failure, 1 cross-method disagreement.
+message), 3 closed form cannot be rounded with certainty, 1 cross-method
+disagreement.
 """
 
 from __future__ import annotations
@@ -177,30 +178,25 @@ def _cmd_gen1(args) -> int:
 
 
 def _cmd_graphs(args) -> int:
-    if args.stable:
-        classes = enumerate_stable(args.genus, args.legs)
-    else:
+    if args.dot and args.stable:
+        print(hasse_dot(contraction_poset(args.genus, args.legs)))
+    elif args.dot:
         classes = enumerate_trivalent(args.genus, args.legs)
-    if args.dot:
-        if args.stable:
-            print(hasse_dot(contraction_poset(args.genus, args.legs)))
-        else:
-            chunks = [g.to_dot(f"c{i}") for i, g in enumerate(classes)]
-            print("\n\n".join(chunks))
-        return 0
-    if args.json:
+        print("\n\n".join(g.to_dot(f"c{i}") for i, g in enumerate(classes)))
+    elif args.json:
         comp = (
             contraction_poset(args.genus, args.legs)
             if args.stable
             else flip_complex(args.genus, args.legs)
         )
         _emit(comp.to_json())
-        return 0
-    for i, g in enumerate(classes):
-        print(
-            f"{i} {g.canonical_hex()} "
-            f"{json.dumps(g.to_json(), separators=(',', ':'))}"
-        )
+    else:
+        listing = enumerate_stable if args.stable else enumerate_trivalent
+        for i, g in enumerate(listing(args.genus, args.legs)):
+            print(
+                f"{i} {g.canonical_hex()} "
+                f"{json.dumps(g.to_json(), separators=(',', ':'))}"
+            )
     return 0
 
 

@@ -62,15 +62,16 @@ class BadWorkLimit(VerkitError):
 
 
 class NumericalResidual(VerkitError):
-    """The trigonometric closed form failed to land within tolerance of an
-    integer."""
+    """The trigonometric closed form cannot be rounded to an integer with
+    certainty: its distance to the nearest integer plus its error bound
+    reaches 1/2."""
 
-    def __init__(self, value: float, residual: float):
+    def __init__(self, value: float, bound: float):
         self.value = value
-        self.residual = residual
+        self.bound = bound
         super().__init__(
-            f"closed-form value {value!r} is {residual:.3e} away from the "
-            f"nearest integer (tolerance 1e-6)"
+            f"closed-form value {value!r} has error bound {bound:.3e}, too "
+            f"wide to round it to an integer with certainty"
         )
 
 

@@ -7,8 +7,8 @@ immutable and hashable; all mutating operations return new graphs.
 
 Slot indexing convention used throughout the package: the slots of a graph
 are its edges in tuple order followed by its legs in label order, so slot
-``i < len(edges)`` is an edge and anything past that is a leg.  A loop
-occupies two slots *at its vertex* but is still a single edge.
+``i < len(edges)`` is edge ``i`` and leg label ``l`` is slot
+``len(edges) + l - 1``.  A loop is one slot, listed twice at its vertex.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ from .errors import (
     UnstableSignature,
     UnstableVertex,
 )
-
-# A slot is ("e", edge_index) or ("l", leg_label).
-Slot = tuple[str, int]
-
 
 @dataclass(frozen=True)
 class MarkedGraph:
@@ -73,14 +69,14 @@ class MarkedGraph:
         return val
 
     @cached_property
-    def slots_at(self) -> dict[int, tuple[Slot, ...]]:
+    def slots_at(self) -> dict[int, tuple[int, ...]]:
         """Slots incident to each vertex, loops listed twice."""
-        out: dict[int, list[Slot]] = {vid: [] for vid, _ in self.vertices}
+        out: dict[int, list[int]] = {vid: [] for vid, _ in self.vertices}
         for i, (a, b) in enumerate(self.edges):
-            out[a].append(("e", i))
-            out[b].append(("e", i))
+            out[a].append(i)
+            out[b].append(i)
         for vid, lab in self.legs:
-            out[vid].append(("l", lab))
+            out[vid].append(len(self.edges) + lab - 1)
         return {vid: tuple(s) for vid, s in out.items()}
 
     @cached_property
@@ -238,17 +234,25 @@ class MarkedGraph:
     def from_json(data: dict | str) -> "MarkedGraph":
         """Read the document to_json writes, as a dict or JSON text.
 
-        Raises BadGraphDocument if it is not JSON of that shape; a graph
-        that new_graph rejects raises the error new_graph gives.
+        Raises BadGraphDocument if it is not JSON of that shape, including
+        a float or boolean where an id, genus, label or edge end belongs; a
+        graph that new_graph rejects raises the error new_graph gives.
         """
         try:
             if isinstance(data, str):
                 data = json.loads(data)
-            return new_graph(
-                [(v["id"], v["genus"]) for v in data["vertices"]],
-                [tuple(e) for e in data["edges"]],
-                [(l["vertex"], l["label"]) for l in data["legs"]],
-            )
+            vertices = [(v["id"], v["genus"]) for v in data["vertices"]]
+            edges = [tuple(e) for e in data["edges"]]
+            legs = [(l["vertex"], l["label"]) for l in data["legs"]]
+            # new_graph's int() would truncate a float and accept a bool
+            if any(
+                type(x) is not int
+                for part in (vertices, edges, legs)
+                for item in part
+                for x in item
+            ):
+                raise TypeError("an id, genus, label or edge end is not an int")
+            return new_graph(vertices, edges, legs)
         except (KeyError, TypeError, ValueError) as exc:
             raise BadGraphDocument(f"{type(exc).__name__}: {exc}") from exc
 

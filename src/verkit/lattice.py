@@ -78,7 +78,8 @@ class LevelledWeighting:
     """Weights on every edge and leg of a graph, together with a level.
 
     edge_weights follow the graph's edge tuple order; leg_weights follow
-    ascending label order (position i holds the weight of leg label i+1).
+    ascending label order (position i holds the weight of leg label i+1),
+    so edge_weights + leg_weights is indexed by slot.
     """
 
     graph: MarkedGraph
@@ -86,14 +87,9 @@ class LevelledWeighting:
     leg_weights: tuple[int, ...]
     level: int
 
-    def slot_value(self, slot) -> int:
-        kind, idx = slot
-        if kind == "e":
-            return self.edge_weights[idx]
-        return self.leg_weights[idx - 1]  # leg labels are 1-based
-
     def vertex_slot_values(self, vid: int) -> tuple[int, ...]:
-        return tuple(self.slot_value(s) for s in self.graph.slots_at[vid])
+        values = self.edge_weights + self.leg_weights
+        return tuple(values[s] for s in self.graph.slots_at[vid])
 
     def __add__(self, other: "LevelledWeighting") -> "LevelledWeighting":
         if not isinstance(other, LevelledWeighting):
@@ -194,60 +190,48 @@ def _fusion_tensor(level: int):
 
 
 def _vertex_factor(graph, vid, level, legs, base):
-    """Index the fusion tensor down to this vertex's open edge axes.
+    """Index the fusion tensor down to this vertex's shared edge axes.
 
-    legs: tuple of fixed leg values, or None to leave legs as open axes
-    (used for the coordinate-ring grading where legs are summed too).
-    Returns (axis_labels, array); a loop's two slots share one axis, so
-    the diagonal comes out automatically.
+    legs: tuple of fixed leg values, or None to leave legs open (used for
+    the coordinate-ring grading where legs are summed too).  A loop's two
+    slots share one axis, so the diagonal comes out automatically.  Loops
+    and open legs belong to this vertex alone and are summed out here, so
+    the axes left are the non-loop edges, each shared with one neighbour.
+    Returns (edge slots, array).
     """
+    ne = len(graph.edges)
     slots = graph.slots_at[vid]
-    axes: list = []
-    for s in slots:
-        if s[0] == "e":
-            if s not in axes:
-                axes.append(s)
-        elif legs is None:
-            axes.append(s)
+    shared = [s for s in slots if s < ne and slots.count(s) == 1]
+    private = [
+        s for s in dict.fromkeys(slots)
+        if s not in shared and (s < ne or legs is None)
+    ]
+    axes = shared + private
     indexers = []
     for s in slots:
-        if s[0] == "l" and legs is not None:
-            indexers.append(legs[s[1] - 1])
+        if s not in axes:
+            indexers.append(legs[s - ne])
             continue
-        pos = axes.index(s)
         shape = [1] * len(axes)
-        shape[pos] = level + 1
+        shape[axes.index(s)] = level + 1
         indexers.append(np.arange(level + 1).reshape(shape))
-    return axes, base[tuple(indexers)]
+    arr = base[tuple(indexers)]
+    if private:
+        arr = arr.sum(axis=tuple(range(len(shared), len(axes))))
+    return shared, arr
 
 
 def _contract_all(graph: MarkedGraph, level: int, legs) -> int:
-    """Sum the product of vertex fusion tensors over all open axes."""
+    """Sum the product of vertex fusion tensors over all open axes.
+
+    Greedy pairwise order: contract the first pair sharing an edge whose
+    result has the fewest axes, until one factor is left.
+    """
     base = _fusion_tensor(level)
-    factors = []
-    scalar = 1
-    for vid, _ in graph.vertices:
-        axes, arr = _vertex_factor(graph, vid, level, legs, base)
-        factors.append((axes, arr))
-
-    def axis_count(label):
-        return sum(label in ax for ax, _ in factors)
-
-    # sum out axes appearing in exactly one factor (loops, open legs)
-    for k, (axes, arr) in enumerate(factors):
-        private = [a for a in axes if axis_count(a) == 1]
-        if private:
-            pos = tuple(axes.index(a) for a in private)
-            arr = arr.sum(axis=pos)
-            axes = [a for a in axes if a not in private]
-            factors[k] = (axes, arr)
-    live = []
-    for axes, arr in factors:
-        if not axes:
-            scalar *= arr.item() if isinstance(arr, np.ndarray) else arr
-        else:
-            live.append((axes, arr))
-
+    live = [
+        _vertex_factor(graph, vid, level, legs, base)
+        for vid, _ in graph.vertices
+    ]
     while len(live) > 1:
         best = None
         for i in range(len(live)):
@@ -256,9 +240,8 @@ def _contract_all(graph: MarkedGraph, level: int, legs) -> int:
                 if not shared:
                     continue
                 out = len(live[i][0]) + len(live[j][0]) - 2 * len(shared)
-                cost = (level + 1) ** out
-                if best is None or cost < best[0]:
-                    best = (cost, i, j, shared)
+                if best is None or out < best[0]:
+                    best = (out, i, j, shared)
         if best is None:
             raise AssertionError("tensor network disconnected")
         _, i, j, shared = best
@@ -276,11 +259,8 @@ def _contract_all(graph: MarkedGraph, level: int, legs) -> int:
             a for a in aj if a not in shared
         ]
         live = [f for k, f in enumerate(live) if k not in (i, j)]
-        if axes:
-            live.append((axes, res))
-        else:
-            scalar *= res.item() if isinstance(res, np.ndarray) else res
-    return int(scalar)
+        live.append((axes, res))
+    return int(live[0][1])
 
 
 def count_points(graph: MarkedGraph, leaf_weights, level: int) -> int:
@@ -321,11 +301,7 @@ def _walk(graph: MarkedGraph, legs, bound: int, admissible) -> Iterator[tuple]:
         raise InstanceTooLarge(
             f"{total} assignments exceeds the work cap {limit}"
         )
-    # slot positions in a point: edge i at i, leg label l at ne + l - 1
-    stars = [
-        tuple(i if kind == "e" else ne + i - 1 for kind, i in slots)
-        for slots in graph.slots_at.values()
-    ]
+    stars = list(graph.slots_at.values())
     axes = [range(bound + 1)] * width + [(w,) for w in legs or ()]
     for point in itertools.product(*axes):
         for i, j, k in stars:

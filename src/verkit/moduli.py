@@ -80,21 +80,20 @@ def _check_signature(genus: int, n_legs: int) -> None:
         )
 
 
-def _insert_leg(graph: MarkedGraph, slot, new_label: int) -> MarkedGraph:
+def _insert_leg(graph: MarkedGraph, slot: int, new_label: int) -> MarkedGraph:
     """Subdivide an edge or split off a leg, hanging new_label there."""
     w = max(vid for vid, _ in graph.vertices) + 1
     verts = list(graph.vertices) + [(w, 0)]
-    kind, idx = slot
-    if kind == "e":
-        a, b = graph.edges[idx]
-        edges = [e for i, e in enumerate(graph.edges) if i != idx]
+    ne = len(graph.edges)
+    edges, legs = list(graph.edges), list(graph.legs)
+    if slot < ne:
+        a, b = edges.pop(slot)
         edges += [(a, w), (w, b)]
-        legs = list(graph.legs) + [(w, new_label)]
     else:
-        v = next(v for v, lab in graph.legs if lab == idx)
-        legs = [(vv, lab) for vv, lab in graph.legs if lab != idx]
-        legs += [(w, idx), (w, new_label)]
-        edges = list(graph.edges) + [(v, w)]
+        v, lab = legs[slot - ne]
+        legs[slot - ne] = (w, lab)
+        edges.append((v, w))
+    legs.append((w, new_label))
     return new_graph(verts, edges, legs)
 
 
@@ -116,9 +115,7 @@ def enumerate_trivalent(genus: int, n_legs: int) -> tuple[MarkedGraph, ...]:
     found: dict[bytes, MarkedGraph] = {}
     if n_legs > 0 and 2 * genus - 2 + (n_legs - 1) > 0:
         for g in enumerate_trivalent(genus, n_legs - 1):
-            slots = [("e", i) for i in range(len(g.edges))]
-            slots += [("l", lab) for _, lab in g.legs]
-            for slot in slots:
+            for slot in range(len(g.edges) + g.n_legs):
                 cand = _insert_leg(g, slot, n_legs)
                 found.setdefault(cand.canonical_label, cand)
     else:
@@ -162,17 +159,18 @@ def _expansions(graph: MarkedGraph, e: int):
     input graph).
     """
     u, v = graph.edges[e]
-    items = []
+    ne = len(graph.edges)
+    items = []  # (slot, end): a loop or a parallel edge has both ends here
     for j, (a, b) in enumerate(graph.edges):
         if j == e:
             continue
         if a in (u, v):
-            items.append(("e", j, 0))
+            items.append((j, 0))
         if b in (u, v):
-            items.append(("e", j, 1))
+            items.append((j, 1))
     for vtx, lab in graph.legs:
         if vtx in (u, v):
-            items.append(("l", lab, 0))
+            items.append((ne + lab - 1, 0))
     assert len(items) == 4, "trivalent endpoints leave exactly four slots"
     for partner in (1, 2, 3):
         side_u = {items[0], items[partner]}
@@ -185,11 +183,11 @@ def _expansions(graph: MarkedGraph, e: int):
             if j == e:
                 edges.append((u, v))
                 continue
-            na = at(("e", j, 0)) if a in (u, v) else a
-            nb = at(("e", j, 1)) if b in (u, v) else b
+            na = at((j, 0)) if a in (u, v) else a
+            nb = at((j, 1)) if b in (u, v) else b
             edges.append((na, nb))
         legs = [
-            (at(("l", lab, 0)) if vtx in (u, v) else vtx, lab)
+            (at((ne + lab - 1, 0)) if vtx in (u, v) else vtx, lab)
             for vtx, lab in graph.legs
         ]
         yield new_graph(graph.vertices, edges, legs)

@@ -30,8 +30,6 @@ from .lattice import (
     count_points_bruteforce,
 )
 
-RESIDUAL_TOLERANCE = 1e-6
-
 
 def fusion_coeff(a: int, b: int, c: int, level: int) -> int:
     """Multiplicity (0 or 1) of the level-truncated sl2 fusion product."""
@@ -114,32 +112,45 @@ def verlinde_factor(genus: int, leaf_weights, level: int) -> int:
     return count_points_bruteforce(standard_graph(genus, len(r)), r, L)
 
 
-def verlinde_closed_form(
-    genus: int, leaf_weights, level: int, tolerance: float = RESIDUAL_TOLERANCE
-) -> int:
-    """Trigonometric evaluation, rounded with a residual guard.
+def verlinde_closed_form(genus: int, leaf_weights, level: int) -> int:
+    """Trigonometric evaluation, rounded only where rounding is certain.
 
     Leaf weights outside 0..level give 0, matching the counting routes.
-    Compensated summation keeps the residual tiny at desk scale; if it
-    ever exceeds the tolerance the value is rejected rather than rounded.
+    Next to the double-precision sum this accumulates an a-priori bound B
+    on its rounding error; the value is rounded only when its distance to
+    the nearest integer plus B is below 1/2, and NumericalResidual is
+    raised otherwise.
     """
     r, L = _normalize(genus, leaf_weights, level)
     if L < 0 or any(x < 0 or x > L for x in r):
         return 0  # same convention as the counting routes
     n = len(r)
     q = L + 2
+    p = 2 - 2 * genus - n
+    u = 2.0**-53
+    # absolute error of a numerator sine, from rounding its argument
+    sine_err = (4 * math.pi * (L + 1) + 3) * u
+    # relative error of sin(j pi / q) ** p: the sine's is |cot x| (below q)
+    # times the argument's absolute error (a few ulps of pi), and the power
+    # multiplies it by |p|
+    power_err = abs(p) * (1.5 * math.pi * q + 2) * u + 3 * u
     terms = []
+    bound = 0.0
     for j in range(1, L + 2):
         x = math.pi * j / q
         prod = 1.0
         for ri in r:
             prod *= math.sin((ri + 1) * x)
-        terms.append(prod * math.sin(x) ** (2 - 2 * genus - n))
-    value = (q / 2.0) ** (genus - 1) * math.fsum(terms)
+        power = math.sin(x) ** p
+        term = prod * power
+        terms.append(term)
+        bound += abs(power) * n * sine_err + abs(term) * power_err
+    scale = (q / 2.0) ** (genus - 1)
+    value = scale * math.fsum(terms)
+    bound *= 2 * scale  # twice the first-order estimate
     nearest = round(value)
-    residual = abs(value - nearest)
-    if residual > tolerance:
-        raise NumericalResidual(value, residual)
+    if abs(value - nearest) + bound >= 0.5:
+        raise NumericalResidual(value, bound)
     return int(nearest)
 
 

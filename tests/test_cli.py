@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from verkit import caterpillar, dumbbell, theta_graph, trinode
+from verkit import caterpillar, dumbbell, moduli, theta_graph, trinode
 from verkit.cli import main
 from verkit.errors import NumericalResidual
 
@@ -215,6 +215,22 @@ def test_graphs_dot_modes(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.count("graph c") == 3  # one DOT chunk per class
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"], ["--dot"]])
+def test_graphs_stable_closes_once(monkeypatch, capsys, mode):
+    calls = []
+    closure = moduli._stable_closure
+
+    def counted(genus, n_legs):
+        calls.append((genus, n_legs))
+        return closure(genus, n_legs)
+
+    monkeypatch.setattr(moduli, "_stable_closure", counted)
+    code = main(["graphs", "--genus", "0", "--legs", "6", "--stable", *mode])
+    assert code == 0
+    assert capsys.readouterr().out
+    assert calls == [(0, 6)]
 
 
 def test_flips_listing(capsys):

@@ -110,9 +110,29 @@ def test_closed_form_matches_count_sampled_genus_three():
 
 
 def test_closed_form_residual_guard_can_fire():
+    # the double lands on 8223616530000296873558016, an integer-valued
+    # float 1.7e10 below the true 8223616530000314094021931
     with pytest.raises(NumericalResidual) as exc:
-        verlinde_closed_form(1, (), 3, tolerance=-1.0)
-    assert exc.value.residual >= 0.0
+        verlinde_closed_form(10, (), 20)
+    assert exc.value.bound >= 0.5
+
+
+def test_closed_form_rounds_a_value_far_above_one():
+    assert verlinde_closed_form(6, (), 12) == 113077051815
+
+
+@pytest.mark.parametrize(
+    "genus, n_legs, level",
+    [(6, 0, 12), (8, 0, 16), (10, 1, 20), (12, 0, 22), (14, 2, 24),
+     (16, 0, 26), (18, 1, 28), (20, 0, 30), (22, 2, 30), (24, 0, 30)],
+)
+def test_closed_form_is_exact_or_refuses_on_huge_values(genus, n_legs, level):
+    for r in {(0,) * n_legs, (2,) * n_legs, (level,) * n_legs}:
+        want = verlinde(genus, r, level)
+        try:
+            assert verlinde_closed_form(genus, r, level) == want
+        except NumericalResidual:
+            pass
 
 
 def test_factorization_4point_examples():
