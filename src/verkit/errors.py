@@ -61,6 +61,11 @@ class BadWorkLimit(VerkitError):
     integer."""
 
 
+class BadWeighting(VerkitError):
+    """A weight, level or genus is not an integer (a float or a boolean,
+    say), or a weighting document lacks a value it must hold."""
+
+
 class NumericalResidual(VerkitError):
     """The trigonometric closed form cannot be rounded to an integer with
     certainty: its distance to the nearest integer plus its error bound

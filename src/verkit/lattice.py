@@ -14,25 +14,32 @@ on which trivalent graph carries the computation.
 
 Two independent counting routes are kept deliberately separate:
 :func:`count_points` contracts 0/1 fusion tensors over the internal edges
-(exact integer arithmetic on object arrays), while the literal oracle
+along a plan compiled once per graph, while the literal oracle
 :func:`_walk` visits every assignment of values to the slots and tests each
 vertex.  Tests pit them against each other.  :func:`count_points_bruteforce`,
 :func:`enumerate_points`, :func:`count_classical` and the semigroup checks
 all walk through it, so the VK_BRUTE_LIMIT work cap lives in one place.
+
+The contraction is exact.  Every entry of every factor counts assignments to
+at most width slots (the E edges, or E + n when the n legs are summed too),
+so it runs in int64 while (level + 1) ** width < 2^63, and on object arrays
+of Python ints past that bound.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 import os
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import BadWorkLimit, GraphMismatch, InstanceTooLarge
+from .errors import BadWeighting, BadWorkLimit, GraphMismatch, InstanceTooLarge
 from .graphs import MarkedGraph, require_tree, require_trivalent
 
 DEFAULT_BRUTE_LIMIT = 10**8
@@ -123,19 +130,43 @@ class LevelledWeighting:
 
     @staticmethod
     def from_json(graph: MarkedGraph, data: dict | str) -> "LevelledWeighting":
-        if isinstance(data, str):
-            data = json.loads(data)
-        edges = tuple(
-            int(data["edges"][str(i)]) for i in range(len(graph.edges))
+        """Read the document to_json writes, as a dict or JSON text.
+
+        Raises BadWeighting if it is not JSON of that shape, lacks an edge,
+        leg or level value, or holds one that is not an integer (a float or
+        a boolean).
+        """
+        try:
+            if isinstance(data, str):
+                data = json.loads(data)
+            edges = tuple(
+                data["edges"][str(i)] for i in range(len(graph.edges))
+            )
+            legs = tuple(data["legs"][str(lab)] for _, lab in graph.legs)
+            level = data["level"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BadWeighting(f"{type(exc).__name__}: {exc}") from exc
+        return LevelledWeighting(
+            graph,
+            tuple(_integer(w, "edge weight") for w in edges),
+            tuple(_integer(w, "leg weight") for w in legs),
+            _integer(level, "level"),
         )
-        legs = tuple(
-            int(data["legs"][str(lab)]) for _, lab in graph.legs
-        )
-        return LevelledWeighting(graph, edges, legs, int(data["level"]))
+
+
+def _integer(value, what: str) -> int:
+    """value as an int; BadWeighting for a boolean, a float or any other
+    value that is not an integer, where int() would truncate or accept."""
+    if isinstance(value, bool):
+        raise BadWeighting(f"{what} {value!r} is a boolean, not an integer")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise BadWeighting(f"{what} {value!r} is not an integer") from None
 
 
 def _leg_vector(graph: MarkedGraph, leaf_weights) -> tuple[int, ...]:
-    """Normalize leaf weights to a tuple in leg label order."""
+    """Normalize leaf weights to a tuple of ints in leg label order."""
     n = graph.n_legs
     if leaf_weights is None:
         leaf_weights = ()
@@ -145,8 +176,10 @@ def _leg_vector(graph: MarkedGraph, leaf_weights) -> tuple[int, ...]:
                 f"leaf weights keyed {sorted(leaf_weights)} but graph has "
                 f"labels 1..{n}"
             )
-        return tuple(int(leaf_weights[lab]) for _, lab in graph.legs)
-    vec = tuple(int(w) for w in leaf_weights)
+        return tuple(
+            _integer(leaf_weights[lab], "leaf weight") for _, lab in graph.legs
+        )
+    vec = tuple(_integer(w, "leaf weight") for w in leaf_weights)
     if len(vec) != n:
         raise GraphMismatch(
             f"got {len(vec)} leaf weights for a graph with {n} legs"
@@ -173,109 +206,130 @@ def is_point(graph: MarkedGraph, w: LevelledWeighting) -> bool:
 # -- tensor-contraction counting ------------------------------------------
 
 
+def _compile(graph: MarkedGraph) -> tuple:
+    """The graph's contraction plan, (vertices, steps).
+
+    vertices: per vertex in graph order, (has a loop, leg positions in
+    label order); the vertex factor's axes are its non-loop edges in slot
+    order, each shared with one neighbour.  steps: the greedy pairwise
+    order, which repeatedly contracts the first pair sharing an edge whose
+    result has the fewest axes, as (i, j, axes_i, axes_j) with i < j
+    indexing the live factor list: factors i and j leave it and their
+    tensordot over those axes is appended.
+    """
+    require_trivalent(graph)
+    ne = len(graph.edges)
+    vertices, live = [], []
+    for vid, _ in graph.vertices:
+        slots = graph.slots_at[vid]
+        loop = len(set(slots)) < len(slots)
+        vertices.append((loop, tuple(s - ne for s in slots if s >= ne)))
+        live.append([s for s in slots if s < ne and slots.count(s) == 1])
+    steps = []
+    while len(live) > 1:
+        best = None
+        for i in range(len(live)):
+            for j in range(i + 1, len(live)):
+                shared = [a for a in live[i] if a in live[j]]
+                if not shared:
+                    continue
+                out = len(live[i]) + len(live[j]) - 2 * len(shared)
+                if best is None or out < best[0]:
+                    best = (out, i, j, shared)
+        if best is None:
+            raise AssertionError("tensor network disconnected")
+        _, i, j, shared = best
+        aj = live.pop(j)
+        ai = live.pop(i)
+        steps.append((
+            i,
+            j,
+            tuple(ai.index(a) for a in shared),
+            tuple(aj.index(a) for a in shared),
+        ))
+        live.append([a for a in ai + aj if a not in shared])
+    return tuple(vertices), tuple(steps)
+
+
+_plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _plan(graph: MarkedGraph) -> tuple:
+    """The graph's plan, kept as long as the graph lives.  Only a trivalent
+    graph gets one, so any other graph raises NonTrivalentGraph every time."""
+    plan = _plans.get(graph)
+    if plan is None:
+        plan = _plans[graph] = _compile(graph)
+    return plan
+
+
 @lru_cache(maxsize=None)
-def _fusion_tensor(level: int):
-    """0/1 tensor over (a, b, c) in 0..level, Python ints inside."""
+def _kernels(level: int, dtype) -> tuple:
+    """Vertex factors at this level, in dtype.
+
+    The 0/1 fusion tensor T[a, b, c] over 0..level is symmetric in its three
+    slots, so a vertex factor depends only on whether the vertex has a loop
+    and on its leg values.  Entry [loop][m] is T (no loop) or the loop
+    diagonal D[x] = sum_a T[a, a, x] (loop), summed over its last m axes:
+    the factor of a vertex with m open legs.  Fixed legs index [loop][0].
+    """
     r = np.arange(level + 1)
-    a = r[:, None, None]
-    b = r[None, :, None]
-    c = r[None, None, :]
+    a, b, c = r[:, None, None], r[None, :, None], r[None, None, :]
     ok = (
         (np.abs(a - b) <= c)
         & (c <= a + b)
         & ((a + b + c) % 2 == 0)
         & (a + b + c <= 2 * level)
     )
-    return ok.astype(object)
+    t = ok.astype(np.int64).astype(dtype)
+    out = []
+    for k in (t, t[r, r].sum(axis=0)):
+        sums = [k]
+        for _ in range(k.ndim):
+            sums.append(sums[-1].sum(axis=-1))
+        out.append(tuple(sums))
+    return tuple(out)
 
 
-def _vertex_factor(graph, vid, level, legs, base):
-    """Index the fusion tensor down to this vertex's shared edge axes.
+def _contract(plan: tuple, level: int, legs, width: int) -> int:
+    """Sum the product of the vertex factors over every edge, along the plan.
 
-    legs: tuple of fixed leg values, or None to leave legs open (used for
-    the coordinate-ring grading where legs are summed too).  A loop's two
-    slots share one axis, so the diagonal comes out automatically.  Loops
-    and open legs belong to this vertex alone and are summed out here, so
-    the axes left are the non-loop edges, each shared with one neighbour.
-    Returns (edge slots, array).
+    legs: fixed leg values in label order, or None to sum the legs too.
+    width: the number of slots summed over, so (level + 1) ** width bounds
+    every entry and picks int64 or object arrays (see the module docstring).
     """
-    ne = len(graph.edges)
-    slots = graph.slots_at[vid]
-    shared = [s for s in slots if s < ne and slots.count(s) == 1]
-    private = [
-        s for s in dict.fromkeys(slots)
-        if s not in shared and (s < ne or legs is None)
-    ]
-    axes = shared + private
-    indexers = []
-    for s in slots:
-        if s not in axes:
-            indexers.append(legs[s - ne])
-            continue
-        shape = [1] * len(axes)
-        shape[axes.index(s)] = level + 1
-        indexers.append(np.arange(level + 1).reshape(shape))
-    arr = base[tuple(indexers)]
-    if private:
-        arr = arr.sum(axis=tuple(range(len(shared), len(axes))))
-    return shared, arr
-
-
-def _contract_all(graph: MarkedGraph, level: int, legs) -> int:
-    """Sum the product of vertex fusion tensors over all open axes.
-
-    Greedy pairwise order: contract the first pair sharing an edge whose
-    result has the fewest axes, until one factor is left.
-    """
-    base = _fusion_tensor(level)
-    live = [
-        _vertex_factor(graph, vid, level, legs, base)
-        for vid, _ in graph.vertices
-    ]
-    while len(live) > 1:
-        best = None
-        for i in range(len(live)):
-            for j in range(i + 1, len(live)):
-                shared = [a for a in live[i][0] if a in live[j][0]]
-                if not shared:
-                    continue
-                out = len(live[i][0]) + len(live[j][0]) - 2 * len(shared)
-                if best is None or out < best[0]:
-                    best = (out, i, j, shared)
-        if best is None:
-            raise AssertionError("tensor network disconnected")
-        _, i, j, shared = best
-        ai, arri = live[i]
-        aj, arrj = live[j]
-        res = np.tensordot(
-            arri,
-            arrj,
-            axes=(
-                [ai.index(a) for a in shared],
-                [aj.index(a) for a in shared],
-            ),
-        )
-        axes = [a for a in ai if a not in shared] + [
-            a for a in aj if a not in shared
+    vertices, steps = plan
+    dtype = np.int64 if (level + 1) ** width < 2**63 else object
+    kernels = _kernels(level, dtype)
+    if legs is None:
+        live = [kernels[loop][len(at)] for loop, at in vertices]
+    else:
+        live = [
+            kernels[loop][0][(..., *[legs[p] for p in at])]
+            for loop, at in vertices
         ]
-        live = [f for k, f in enumerate(live) if k not in (i, j)]
-        live.append((axes, res))
-    return int(live[0][1])
+    for i, j, axes_i, axes_j in steps:
+        b = live.pop(j)
+        a = live.pop(i)
+        live.append(np.tensordot(a, b, axes=(axes_i, axes_j)))
+    return int(live[0])
 
 
 def count_points(graph: MarkedGraph, leaf_weights, level: int) -> int:
     """Number of admissible weightings with the given leg values.
 
-    Exact tensor contraction over the internal edges; arbitrary precision.
-    Leg values outside 0..level make the count 0.
+    Exact tensor contraction over the internal edges along the graph's
+    compiled plan: int64 while (level + 1) ** E < 2^63, E the number of
+    edges, and object arrays of Python ints past that bound.  Leg values
+    outside 0..level make the count 0.  A weight or level that is not an
+    integer raises BadWeighting.
     """
-    require_trivalent(graph)
+    plan = _plan(graph)
     legs = _leg_vector(graph, leaf_weights)
-    if level < 0:
+    level = _integer(level, "level")
+    if level < 0 or any(w < 0 or w > level for w in legs):
         return 0
-    if any(w < 0 or w > level for w in legs):
-        return 0
-    return _contract_all(graph, level, legs)
+    return _contract(plan, level, legs, len(graph.edges))
 
 
 # -- the literal oracle ----------------------------------------------------
@@ -329,6 +383,7 @@ def count_points_bruteforce(graph: MarkedGraph, leaf_weights, level: int) -> int
     """
     require_trivalent(graph)
     legs = _leg_vector(graph, leaf_weights)
+    level = _integer(level, "level")
     rule = partial(admissible_triple_level, level=level)
     return sum(1 for _ in _walk(graph, legs, level, rule))
 
@@ -338,7 +393,8 @@ def enumerate_points(
 ) -> Iterator[LevelledWeighting]:
     """Yield admissible weightings in lexicographic edge-weight order."""
     require_trivalent(graph)
-    yield from _level_points(graph, _leg_vector(graph, leaf_weights), level)
+    legs = _leg_vector(graph, leaf_weights)
+    yield from _level_points(graph, legs, _integer(level, "level"))
 
 
 def count_classical(tree: MarkedGraph, leaf_weights) -> int:
@@ -358,9 +414,12 @@ def count_cox(graph: MarkedGraph, level: int) -> int:
     """Admissible weightings at the level with legs free as well.
 
     Summing leg values over 0..level turns the count into the dimension of
-    the degree-level piece of the total coordinate ring grading.
+    the degree-level piece of the total coordinate ring grading.  The
+    contraction runs in int64 while (level + 1) ** (E + n) < 2^63, with E
+    edges and n legs, and on object arrays past that bound.
     """
-    require_trivalent(graph)
+    plan = _plan(graph)
+    level = _integer(level, "level")
     if level < 0:
         return 0
-    return _contract_all(graph, level, None)
+    return _contract(plan, level, None, len(graph.edges) + graph.n_legs)

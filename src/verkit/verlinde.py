@@ -21,10 +21,12 @@ unchanged because fusing with the trivial weight is the identity.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .errors import NumericalResidual, UnstableSignature
 from .graphs import MarkedGraph, new_graph
 from .lattice import (
+    _integer,
     admissible_triple_level,
     count_points,
     count_points_bruteforce,
@@ -36,8 +38,12 @@ def fusion_coeff(a: int, b: int, c: int, level: int) -> int:
     return 1 if admissible_triple_level(a, b, c, level) else 0
 
 
+@lru_cache(maxsize=256)
 def standard_graph(genus: int, n_legs: int) -> MarkedGraph:
     """A fixed trivalent genus-0-vertex graph of the given signature.
+
+    Memoised, so repeated queries of a signature share one graph and with
+    it one compiled contraction plan.
 
     Caterpillar spine carrying the n legs first and then, for each unit of
     genus, a pendant vertex with a loop.  The (1,1) case degenerates to a
@@ -82,15 +88,17 @@ def standard_graph(genus: int, n_legs: int) -> MarkedGraph:
 
 
 def _normalize(genus: int, leaf_weights, level: int):
-    r = tuple(int(x) for x in (leaf_weights or ()))
-    if genus < 0:
+    if leaf_weights is None:
+        leaf_weights = ()
+    r = tuple(_integer(x, "leaf weight") for x in leaf_weights)
+    if _integer(genus, "genus") < 0:
         raise UnstableSignature(f"negative genus {genus}")
     if genus == 0:
         while len(r) < 3:
             r = r + (0,)
     elif not r:
         r = (0,)
-    return r, int(level)
+    return r, _integer(level, "level")
 
 
 def verlinde(genus: int, leaf_weights, level: int) -> int:

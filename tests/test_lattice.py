@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import random
+import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from verkit import (
+    BadWeighting,
     BadWorkLimit,
     GraphMismatch,
     InstanceTooLarge,
@@ -32,7 +36,9 @@ from verkit import (
     new_graph,
     theta_graph,
     trinode,
+    verlinde_closed_form,
 )
+from verkit import lattice
 
 small = st.integers(min_value=0, max_value=8)
 
@@ -111,6 +117,51 @@ def test_count_points_rejects_non_trivalent():
     four_valent = new_graph([(0, 0)], [(0, 0), (0, 0)], [])
     with pytest.raises(NonTrivalentGraph):
         count_points(four_valent, (), 2)
+
+
+def test_plan_cache_neither_hides_errors_nor_keeps_graphs():
+    four_valent = new_graph([(0, 0)], [(0, 0), (0, 0)], [])
+    for _ in range(2):  # a refused graph is refused again, not cached
+        with pytest.raises(NonTrivalentGraph):
+            count_points(four_valent, (), 2)
+        with pytest.raises(NonTrivalentGraph):
+            count_cox(four_valent, 2)
+    g = caterpillar(6)
+    assert count_points(g, (1,) * 6, 2) == 4
+    assert count_cox(g, 2) > 0
+    alive = weakref.ref(g)
+    del g
+    gc.collect()
+    assert alive() is None
+
+
+CAT4 = caterpillar(4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda w, L: count_points(CAT4, w, L),
+        lambda w, L: count_points(CAT4, dict(enumerate(w, 1)), L),
+        lambda w, L: count_points_bruteforce(CAT4, w, L),
+        lambda w, L: len(list(enumerate_points(CAT4, w, L))),
+    ],
+    ids=["count_points", "mapping", "bruteforce", "enumerate_points"],
+)
+def test_non_integer_weights_and_levels_are_refused(call):
+    # int() used to read (1.5, 1, 1, True) as (1, 1, 1, 1), which counts 2
+    assert call(np.array([1, 1, 1, 1]), np.int64(2)) == call((1, 1, 1, 1), 2) == 2
+    for w, L in [((1.5, 1, 1, 1), 2), ((1, 1, 1, True), 2), ((1, 1, 1, "1"), 2),
+                 ((1, 1, 1, 1), 2.0), ((1, 1, 1, 1), True)]:
+        with pytest.raises(BadWeighting):
+            call(w, L)
+
+
+def test_count_cox_refuses_a_non_integer_level():
+    assert count_cox(CAT4, np.int64(2)) == count_cox(CAT4, 2)
+    for L in (2.0, 2.5, True):
+        with pytest.raises(BadWeighting):
+            count_cox(CAT4, L)
 
 
 def test_leaf_weight_count_must_match():
@@ -274,6 +325,28 @@ def test_weighting_json_round_trip():
     assert back == w
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"edges": {"0": 1.7}, "legs": {"1": True, "2": 1, "3": 1, "4": 1},
+         "level": 2.9},
+        {"edges": {"0": 1.7}, "legs": {"1": 1, "2": 1, "3": 1, "4": 1}, "level": 2},
+        {"edges": {"0": 1}, "legs": {"1": True, "2": 1, "3": 1, "4": 1}, "level": 2},
+        {"edges": {"0": 1}, "legs": {"1": 1, "2": 1, "3": 1, "4": 1}, "level": 2.9},
+        {"edges": {}, "legs": {"1": 1, "2": 1, "3": 1, "4": 1}, "level": 2},
+        {"edges": {"0": 1}, "legs": {"1": 1, "2": 1, "3": 1}, "level": 2},
+        {"edges": {"0": 1}, "legs": {"1": 1, "2": 1, "3": 1, "4": 1}},
+        [1, 2],
+        "{not json",
+    ],
+)
+def test_weighting_from_json_rejects_malformed_documents(doc):
+    cat = caterpillar(4)
+    for data in (doc, doc if isinstance(doc, str) else json.dumps(doc)):
+        with pytest.raises(BadWeighting):
+            LevelledWeighting.from_json(cat, data)
+
+
 def test_weighting_addition_and_scaling():
     cat = caterpillar(4)
     w1 = LevelledWeighting(cat, (2,), (1, 1, 1, 1), 3)
@@ -298,3 +371,35 @@ def test_factorization_shape_of_caterpillar_count():
                 for m in range(L + 1)
             )
             assert direct == bysum
+
+
+def test_int64_and_object_contractions_agree_at_the_bound(monkeypatch):
+    # caterpillar(34) has 31 edges, 4^31 < 2^63: int64 at level 3;
+    # caterpillar(35) has 32, 4^32 >= 2^63: object arrays.
+    dtypes = []
+    tensordot = np.tensordot
+
+    def spy(a, b, axes):
+        out = tensordot(a, b, axes=axes)
+        dtypes.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(lattice.np, "tensordot", spy)
+    cat34, cat35 = caterpillar(34), caterpillar(35)
+    for r, want in [((1,) * 34 + (2,), 5702887), ((3, 1) * 17 + (2,), 1597)]:
+        dtypes.clear()
+        whole = count_points(cat35, r, 3)
+        assert set(dtypes) == {np.dtype(object)}
+        dtypes.clear()
+        glued = sum(
+            count_points(trinode(), (r[0], r[1], m), 3)
+            * count_points(cat34, (m,) + r[2:], 3)
+            for m in range(4)
+        )
+        assert set(dtypes) == {np.dtype(np.int64)}
+        assert whole == glued == want
+        assert verlinde_closed_form(0, r, 3) == want
+    dtypes.clear()
+    # legs summed too: width 15 + 18 = 33 is past the bound
+    assert count_cox(caterpillar(18), 3) == 1209462292480
+    assert set(dtypes) == {np.dtype(object)}

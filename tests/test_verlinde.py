@@ -3,11 +3,13 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from verkit import (
+    BadWeighting,
     NumericalResidual,
     UnstableSignature,
     caterpillar,
@@ -52,6 +54,22 @@ def test_standard_graph_signatures():
         assert G.signature() == (g, n)
         assert G.is_trivalent()
         assert len(G.edges) == 3 * g - 3 + n
+        assert standard_graph(g, n) is G  # memoised: one graph, one plan
+
+
+@pytest.mark.parametrize("route", [verlinde, verlinde_factor, verlinde_closed_form])
+def test_non_integer_weights_and_levels_are_refused(route):
+    # int() used to read (1.9, 1, 1, 1) as (1, 1, 1, 1), which counts 2
+    assert route(0, (1, 1, 1, 1), 2) == 2
+    assert route(0, np.array([1, 1, 1, 1]), np.int64(2)) == 2
+    assert route(0, None, 2) == route(0, (), 2) == 1
+    for r, L in [((1.9, 1, 1, 1), 2), ((1, 1, 1, True), 2), ((1, 1, 1, 1), 2.5),
+                 ((1, 1, 1, 1), True)]:
+        with pytest.raises(BadWeighting):
+            route(0, r, L)
+    # a float genus would hit the memoised standard graph of its int value
+    with pytest.raises(BadWeighting):
+        route(0.0, (1, 1, 1, 1), 2)
 
 
 def test_standard_graph_rejects_unstable():
