@@ -63,7 +63,8 @@ class BadWorkLimit(VerkitError):
 
 class BadWeighting(VerkitError):
     """A weight, level or genus is not an integer (a float or a boolean,
-    say), or a weighting document lacks a value it must hold."""
+    say), a weighting document lacks a value it must hold, or a functional
+    value is not a nonnegative rational number."""
 
 
 class NumericalResidual(VerkitError):

@@ -94,10 +94,6 @@ class LevelledWeighting:
     leg_weights: tuple[int, ...]
     level: int
 
-    def vertex_slot_values(self, vid: int) -> tuple[int, ...]:
-        values = self.edge_weights + self.leg_weights
-        return tuple(values[s] for s in self.graph.slots_at[vid])
-
     def __add__(self, other: "LevelledWeighting") -> "LevelledWeighting":
         if not isinstance(other, LevelledWeighting):
             return NotImplemented
@@ -195,11 +191,12 @@ def is_point(graph: MarkedGraph, w: LevelledWeighting) -> bool:
     L = w.level
     if L < 0:
         return False
-    if any(x < 0 or x > L for x in w.edge_weights + w.leg_weights):
+    values = w.edge_weights + w.leg_weights
+    if any(x < 0 or x > L for x in values):
         return False
     return all(
-        admissible_triple_level(*w.vertex_slot_values(vid), L)
-        for vid, _ in graph.vertices
+        admissible_triple_level(values[i], values[j], values[k], L)
+        for i, j, k in graph.slots_at.values()
     )
 
 
@@ -366,11 +363,11 @@ def _walk(graph: MarkedGraph, legs, bound: int, admissible) -> Iterator[tuple]:
 
 
 def _level_points(
-    graph: MarkedGraph, legs, level: int
+    graph: MarkedGraph, legs, level: int, rule=admissible_triple_level
 ) -> Iterator[LevelledWeighting]:
-    """The level-truncated walk, as weightings."""
+    """The walk at the level under the vertex rule(a, b, c, level)."""
     ne = len(graph.edges)
-    rule = partial(admissible_triple_level, level=level)
+    rule = partial(rule, level=level)
     for point in _walk(graph, legs, level, rule):
         yield LevelledWeighting(graph, point[:ne], point[ne:], level)
 

@@ -3,26 +3,29 @@ points, Gorenstein and degree-1-generation checks, filtration functionals.
 
 The semigroup of a trivalent graph consists of all admissible levelled
 weightings, graded by level.  Interior points are those satisfying every
-defining inequality strictly; the Gorenstein test verifies that they are
-exactly the translates of the all-twos level-4 weighting by semigroup
-elements.  Certificates returned by the checks are plain weighting pairs
-that re-verify by addition.
+defining inequality strictly; the literal walk finds them by testing the
+strict vertex rule, just as it finds semigroup points by testing the plain
+one.  The Gorenstein test compares, one level at a time, the interior
+points with the semigroup points four levels lower shifted by the
+all-twos level-4 weighting: the two lexicographic lists must be equal.
+Certificates returned by the checks are plain weighting pairs that
+re-verify by addition.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import CounterexampleFound, GraphMismatch
+from .errors import BadWeighting, CounterexampleFound, GraphMismatch
 from .graphs import MarkedGraph, require_tree, require_trivalent
 from .lattice import (
     LevelledWeighting,
-    admissible_triple_level,
     count_cox,
     count_points,
-    is_point,
+    _integer,
     _leg_vector,
     _level_points,
 )
@@ -56,7 +59,8 @@ class HilbertTable:
 def hilbert_cox(graph: MarkedGraph, max_level: int) -> HilbertTable:
     """Dimensions of the level-graded pieces with legs summed out."""
     require_trivalent(graph)
-    values = tuple(count_cox(graph, L) for L in range(max_level + 1))
+    top = _integer(max_level, "max level")
+    values = tuple(count_cox(graph, L) for L in range(top + 1))
     return HilbertTable(graph, "cox", None, values)
 
 
@@ -66,27 +70,21 @@ def hilbert_projective(
     """Dimensions along the dilation (N*r, N*level), N = 0..max_degree."""
     require_trivalent(graph)
     r = _leg_vector(graph, leaf_weights)
+    level = _integer(level, "level")
     values = tuple(
         count_points(graph, tuple(N * x for x in r), N * level)
-        for N in range(max_degree + 1)
+        for N in range(_integer(max_degree, "max degree") + 1)
     )
-    return HilbertTable(graph, "projective", (r, int(level)), values)
+    return HilbertTable(graph, "projective", (r, level), values)
 
 
 # -- interior points and the Gorenstein test ------------------------------
 
 
-def _strictly_interior(w: LevelledWeighting) -> bool:
-    L = w.level
-    for vid, _ in w.graph.vertices:
-        a, b, c = w.vertex_slot_values(vid)
-        if not admissible_triple_level(a, b, c, L):
-            return False
-        if a + b + c >= 2 * L:
-            return False
-        if not (a < b + c and b < a + c and c < a + b):
-            return False
-    return True
+def _interior_triple(a: int, b: int, c: int, level: int) -> bool:
+    """Admissibility with every inequality strict (see interior_points)."""
+    s = a + b + c  # 2 max < s is the three strict triangle inequalities
+    return 2 * max(a, b, c) < s < 2 * level and s % 2 == 0
 
 
 def _all_points(graph: MarkedGraph, level: int) -> Iterator[LevelledWeighting]:
@@ -106,10 +104,8 @@ def interior_points(
     from 0 to level_bound; order is (level, weights) lexicographic.
     """
     require_trivalent(graph)
-    for level in range(level_bound + 1):
-        for w in _all_points(graph, level):
-            if _strictly_interior(w):
-                yield w
+    for level in range(_integer(level_bound, "level bound") + 1):
+        yield from _level_points(graph, None, level, _interior_triple)
 
 
 def dualizing_weighting(graph: MarkedGraph) -> LevelledWeighting:
@@ -127,36 +123,39 @@ def gorenstein_check(
 ) -> tuple[bool, tuple[tuple[LevelledWeighting, LevelledWeighting], ...]]:
     """Interior points up to the bound are exactly the dualizing shifts.
 
-    Both inclusions are checked: every interior point minus the all-twos
-    level-4 weighting must be a semigroup point (the certificates), and
-    every semigroup point of level <= bound-4 shifted by it must be
-    interior.  Returns (True, certificates) where each certificate is
-    (interior point, semigroup point it decomposes through); raises
-    CounterexampleFound otherwise.
+    Level by level, the strict walk's interior points must equal the
+    semigroup points four levels lower, each shifted by the all-twos
+    level-4 weighting.  Both lists are in lexicographic order and
+    the shift keeps that order, so one list comparison checks both
+    inclusions.  Returns (True, certificates) where each certificate is
+    (interior point, semigroup point it decomposes through), in the order
+    of interior_points; raises CounterexampleFound on the first point that
+    is in one list and not the other.
     """
     require_trivalent(graph)
     omega = dualizing_weighting(graph)
     certificates = []
-    for w in interior_points(graph, level_bound):
-        residual = LevelledWeighting(
-            graph,
-            tuple(x - 2 for x in w.edge_weights),
-            tuple(x - 2 for x in w.leg_weights),
-            w.level - 4,
-        )
-        if not is_point(graph, residual):
-            raise CounterexampleFound(
-                w, "interior point is not a dualizing shift of the semigroup"
-            )
-        certificates.append((w, residual))
-    for level in range(max(level_bound - 4, -1) + 1):
-        for p in _all_points(graph, level):
-            shifted = p + omega
-            if not _strictly_interior(shifted):
-                raise CounterexampleFound(
-                    shifted, "dualizing shift of a semigroup point not interior"
-                )
+    for level in range(_integer(level_bound, "level bound") + 1):
+        interior = list(_level_points(graph, None, level, _interior_triple))
+        below = list(_all_points(graph, level - omega.level))
+        shifted = [p + omega for p in below]
+        if interior != shifted:
+            raise CounterexampleFound(*_first_difference(interior, shifted))
+        certificates += zip(interior, below)
     return True, tuple(certificates)
+
+
+def _first_difference(interior: list, shifted: list) -> tuple:
+    """(point, reason) for the first point of either lex-ordered list that
+    the other lacks: at the first index where they differ, the lesser."""
+    pairs = itertools.zip_longest(interior, shifted)
+    w, s = next((w, s) for w, s in pairs if w != s)
+    if s is None or (
+        w is not None
+        and w.edge_weights + w.leg_weights < s.edge_weights + s.leg_weights
+    ):
+        return w, "interior point is not a dualizing shift of the semigroup"
+    return s, "dualizing shift of a semigroup point is not interior"
 
 
 # -- degree-1 generation ----------------------------------------------------
@@ -179,7 +178,7 @@ def degree_one_generation_check(
     generators = list(_all_points(tree, 1))
     certificates = {}
     below: dict[tuple, tuple] = {}  # certified points of the level below
-    for level in range(level_bound + 1):
+    for level in range(_integer(level_bound, "level bound") + 1):
         table = {}
         for w in _all_points(tree, level):
             ew, lw = w.edge_weights, w.leg_weights
@@ -223,15 +222,20 @@ class Functional:
 
 
 def new_functional(graph: MarkedGraph, edge_values, leg_values) -> Functional:
-    ev = tuple(Fraction(v) for v in edge_values)
-    lv = tuple(Fraction(v) for v in leg_values)
+    """Read the values as Fractions: BadWeighting for a value that is not a
+    rational number or is negative, GraphMismatch for the wrong count."""
+    try:
+        ev = tuple(Fraction(v) for v in edge_values)
+        lv = tuple(Fraction(v) for v in leg_values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadWeighting(f"functional value: {exc}") from None
     if len(ev) != len(graph.edges) or len(lv) != graph.n_legs:
         raise GraphMismatch(
             f"functional needs {len(graph.edges)} edge and {graph.n_legs} "
             f"leg values"
         )
     if any(v < 0 for v in ev + lv):
-        raise GraphMismatch("functional values must be nonnegative")
+        raise BadWeighting("functional values must be nonnegative")
     return Functional(graph, ev, lv)
 
 
@@ -239,10 +243,7 @@ def filtration_value(w: LevelledWeighting, theta: Functional) -> Fraction:
     """sum_e theta_e * w_e over all edges and legs; additive in w."""
     if theta.graph != w.graph:
         raise GraphMismatch("functional and weighting on different graphs")
-    return sum(
-        (t * x for t, x in zip(theta.edge_values, w.edge_weights)),
-        start=Fraction(0),
-    ) + sum(
-        (t * x for t, x in zip(theta.leg_values, w.leg_weights)),
-        start=Fraction(0),
+    pairs = zip(
+        theta.edge_values + theta.leg_values, w.edge_weights + w.leg_weights
     )
+    return sum((t * x for t, x in pairs), start=Fraction(0))

@@ -24,7 +24,13 @@ import math
 from functools import lru_cache
 
 from .errors import NumericalResidual, UnstableSignature
-from .graphs import MarkedGraph, new_graph
+from .graphs import (
+    MarkedGraph,
+    caterpillar,
+    dumbbell,
+    loop_with_leg,
+    new_graph,
+)
 from .lattice import (
     _integer,
     admissible_triple_level,
@@ -45,9 +51,10 @@ def standard_graph(genus: int, n_legs: int) -> MarkedGraph:
     Memoised, so repeated queries of a signature share one graph and with
     it one compiled contraction plan.
 
-    Caterpillar spine carrying the n legs first and then, for each unit of
-    genus, a pendant vertex with a loop.  The (1,1) case degenerates to a
-    single vertex with a loop and a leg.
+    The caterpillar with n + g legs, whose legs above n are each replaced
+    by an edge to a pendant vertex with a loop: the n legs first and then
+    one loop per unit of genus.  With n + g = 2 there is no spine, and the
+    graph is the loop with a leg (1,1) or the dumbbell (2,0).
     """
     g, n = genus, n_legs
     if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
@@ -55,35 +62,16 @@ def standard_graph(genus: int, n_legs: int) -> MarkedGraph:
     p = n + g  # pendant count: legs then loops
     if p == 2:
         # no spine vertices: either a loop with a leg or two joined loops
-        if g == 2:
-            return new_graph([(0, 0), (1, 0)], [(0, 0), (0, 1), (1, 1)], [])
-        return new_graph([(0, 0)], [(0, 0)], [(0, 1)])
-    s = p - 2
-    verts = [(i, 0) for i in range(s)]
-    edges = [(i, i + 1) for i in range(s - 1)]
-    legs = []
-    next_id = s
-
-    def place(pendant: int, at: int):
-        nonlocal next_id
-        if pendant < n:
-            legs.append((at, pendant + 1))
+        return dumbbell() if g == 2 else loop_with_leg()
+    spine = caterpillar(p)
+    verts, edges, legs = list(spine.vertices), list(spine.edges), []
+    for at, label in spine.legs:
+        if label <= n:
+            legs.append((at, label))
         else:
-            verts.append((next_id, 0))
-            edges.append((at, next_id))
-            edges.append((next_id, next_id))
-            next_id += 1
-
-    if s == 1:
-        for k in range(3):
-            place(k, 0)
-    else:
-        place(0, 0)
-        place(1, 0)
-        for i in range(1, s - 1):
-            place(i + 1, i)
-        place(p - 2, s - 1)
-        place(p - 1, s - 1)
+            pendant = len(verts)
+            verts.append((pendant, 0))
+            edges += [(at, pendant), (pendant, pendant)]
     return new_graph(verts, edges, legs)
 
 

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from verkit import semigroup
+
 from verkit import (
+    BadWeighting,
     CounterexampleFound,
     GraphMismatch,
     LevelledWeighting,
@@ -131,6 +134,55 @@ def test_gorenstein_counterexample_payload():
     assert "demo" in str(exc)
 
 
+def test_gorenstein_refuses_a_wrong_dualizing_weighting(monkeypatch):
+    t = trinode()
+    # all-ones at level 2: its shift of the level-0 point has an odd sum
+    monkeypatch.setattr(
+        semigroup,
+        "dualizing_weighting",
+        lambda g: LevelledWeighting(g, (), (1, 1, 1), 2),
+    )
+    with pytest.raises(CounterexampleFound) as info:
+        gorenstein_check(t, 8)
+    assert info.value.point == LevelledWeighting(t, (), (1, 1, 1), 2)
+    assert "not interior" in str(info.value)
+    # (2, 2, 0) at level 4: at level 4 the lists are [(2, 2, 2)] and
+    # [(2, 2, 0)], each lacking the other's point; the lesser is reported
+    monkeypatch.setattr(
+        semigroup,
+        "dualizing_weighting",
+        lambda g: LevelledWeighting(g, (), (2, 2, 0), 4),
+    )
+    with pytest.raises(CounterexampleFound) as info:
+        gorenstein_check(t, 8)
+    assert info.value.point == LevelledWeighting(t, (), (2, 2, 0), 4)
+    assert "not interior" in str(info.value)
+    # all-twos at level 5: the interior point (2, 2, 2) at level 4 is no shift
+    monkeypatch.setattr(
+        semigroup,
+        "dualizing_weighting",
+        lambda g: LevelledWeighting(g, (), (2, 2, 2), 5),
+    )
+    with pytest.raises(CounterexampleFound) as info:
+        gorenstein_check(t, 8)
+    assert info.value.point == LevelledWeighting(t, (), (2, 2, 2), 4)
+    assert "not a dualizing shift" in str(info.value)
+
+
+def test_semigroup_integer_arguments_are_refused():
+    t = trinode()
+    for call in [
+        lambda: hilbert_projective(t, (1, 1, 0), True, 3),
+        lambda: hilbert_projective(t, (1, 1, 0), 1, 3.0),
+        lambda: hilbert_cox(t, 2.0),
+        lambda: gorenstein_check(t, 4.0),
+        lambda: degree_one_generation_check(t, 2.0),
+        lambda: list(interior_points(t, 4.0)),
+    ]:
+        with pytest.raises(BadWeighting):
+            call()
+
+
 def test_degree_one_generation_trinode():
     holds, certs = degree_one_generation_check(trinode(), 4)
     assert holds
@@ -229,8 +281,11 @@ def test_new_functional_validation():
         new_functional(t, (1,), (1, 1, 1))
     with pytest.raises(GraphMismatch):
         new_functional(t, (), (1, 1))
-    with pytest.raises(GraphMismatch):
+    with pytest.raises(BadWeighting):
         new_functional(t, (), (1, -1, 1))
+    for values in [("x", 1, 1), (None, 1, 1), (float("inf"), 1, 1)]:
+        with pytest.raises(BadWeighting):
+            new_functional(t, (), values)
 
 
 def test_filtration_graph_mismatch():

@@ -57,6 +57,35 @@ def test_standard_graph_signatures():
         assert standard_graph(g, n) is G  # memoised: one graph, one plan
 
 
+def test_standard_graph_tuples_are_pinned():
+    # edge order fixes the greedy contraction plan, so it is pinned exactly
+    expected = {
+        (0, 5): (
+            ((0, 0), (1, 0), (2, 0)),
+            ((0, 1), (1, 2)),
+            ((0, 1), (0, 2), (1, 3), (2, 4), (2, 5)),
+        ),
+        (1, 3): (
+            ((0, 0), (1, 0), (2, 0)),
+            ((0, 1), (1, 2), (2, 2)),
+            ((0, 1), (0, 2), (1, 3)),
+        ),
+        (2, 1): (
+            ((0, 0), (1, 0), (2, 0)),
+            ((0, 1), (1, 1), (0, 2), (2, 2)),
+            ((0, 1),),
+        ),
+        (3, 0): (
+            ((0, 0), (1, 0), (2, 0), (3, 0)),
+            ((0, 1), (1, 1), (0, 2), (2, 2), (0, 3), (3, 3)),
+            (),
+        ),
+    }
+    for signature, tuples in expected.items():
+        G = standard_graph(*signature)
+        assert (G.vertices, G.edges, G.legs) == tuples
+
+
 @pytest.mark.parametrize("route", [verlinde, verlinde_factor, verlinde_closed_form])
 def test_non_integer_weights_and_levels_are_refused(route):
     # int() used to read (1.9, 1, 1, 1) as (1, 1, 1, 1), which counts 2
