@@ -33,8 +33,10 @@ class DanglingReference(VerkitError):
 
 
 class BadGraphDocument(VerkitError):
-    """A graph document is not JSON of the shape MarkedGraph.to_json writes
-    (vertices and legs as objects, edges as vertex-id pairs)."""
+    """Graph data holds a vertex id, genus, edge end or leg label that is
+    not an integer (a float or a boolean, say), or a graph document is not
+    JSON of the shape MarkedGraph.to_json writes (vertices and legs as
+    objects, edges as vertex-id pairs)."""
 
 
 class IsLeg(VerkitError):
@@ -62,9 +64,9 @@ class BadWorkLimit(VerkitError):
 
 
 class BadWeighting(VerkitError):
-    """A weight, level or genus is not an integer (a float or a boolean,
-    say), a weighting document lacks a value it must hold, or a functional
-    value is not a nonnegative rational number."""
+    """A weight, level, genus or leg count is not an integer (a float or a
+    boolean, say), a weighting document lacks a value it must hold, or a
+    functional value is not a nonnegative rational number."""
 
 
 class NumericalResidual(VerkitError):

@@ -9,14 +9,21 @@ Slot indexing convention used throughout the package: the slots of a graph
 are its edges in tuple order followed by its legs in label order, so slot
 ``i < len(edges)`` is edge ``i`` and leg label ``l`` is slot
 ``len(edges) + l - 1``.  A loop is one slot, listed twice at its vertex.
+
+:func:`new_graph` reads every id, genus, edge end and leg label as an
+integer and validates in one pass over the edges and one over the legs.
+:attr:`MarkedGraph.canonical_label` numbers the vertices 0..V-1 in
+``vertices`` order and searches on those indices alone, so the label
+depends on nothing but the graph and is the same in every process.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import (
     BadGraphDocument,
@@ -28,6 +35,7 @@ from .errors import (
     NotATree,
     UnstableSignature,
     UnstableVertex,
+    VerkitError,
 )
 
 @dataclass(frozen=True)
@@ -150,73 +158,93 @@ class MarkedGraph:
 
         Isomorphisms must preserve vertex genus, the graph structure
         (including loop/parallel multiplicity), and fix every leg label.
-        Individualization-refinement: colour vertices by (genus, valence,
-        leg labels, loop count) and refine by neighbour colours; while a
-        cell has more than one vertex, individualize each vertex of the
-        first such cell in turn, refine, and recurse.  Every branch of the
-        search tree ends in a vertex order, and the least encoding over all
-        of them wins, so there is no work cap.  No use of hash(), so
-        labels are stable across processes and platforms.
+        Individualization-refinement on vertex indices 0..V-1, numbered in
+        ``vertices`` order: colour vertices by (genus, valence, leg labels,
+        loop count), kept as a list of ranks, and refine by the sorted
+        colours of each vertex's neighbour index list until the number of
+        colours stops growing (at once when every colour is a single
+        vertex).  While a cell has more than one vertex, individualize
+        each vertex of the least such cell in turn, refine, and recurse.
+        Every branch of the search tree ends in a vertex order, and the
+        least encoding over all of them wins, so there is no work cap.  No
+        use of hash(), so labels are stable across processes and
+        platforms.
         """
-        ids = [vid for vid, _ in self.vertices]
-        legs_at = {vid: [] for vid in ids}
-        for vid, lab in self.legs:
-            legs_at[vid].append(lab)
-        loops_at = {vid: 0 for vid in ids}
-        neighbors: dict[int, list[int]] = {vid: [] for vid in ids}
+        index = {vid: i for i, (vid, _) in enumerate(self.vertices)}
+        n = len(index)
+        valence = [0] * n
+        loops = [0] * n
+        neighbors: list[list[int]] = [[] for _ in range(n)]
+        edges = []
         for a, b in self.edges:
-            if a == b:
-                loops_at[a] += 1
+            i, j = index[a], index[b]
+            edges.append((i, j))
+            valence[i] += 1
+            valence[j] += 1
+            if i == j:
+                loops[i] += 1
             else:
-                neighbors[a].append(b)
-                neighbors[b].append(a)
+                neighbors[i].append(j)
+                neighbors[j].append(i)
+        legs = []  # vertex index per leg, in label order
+        legs_at: list[list[int]] = [[] for _ in range(n)]
+        for v, lab in self.legs:
+            i = index[v]
+            legs.append(i)
+            legs_at[i].append(lab)
+            valence[i] += 1
+        genus = [g for _, g in self.vertices]
 
-        def refine(colors):
-            while True:
-                key = {
-                    vid: (colors[vid], tuple(sorted(colors[u] for u in neighbors[vid])))
-                    for vid in ids
-                }
-                new_colors = _rank(key, ids)
-                if len(set(new_colors.values())) == len(set(colors.values())):
-                    return new_colors
-                colors = new_colors
+        def rank(keys):
+            order = {k: r for r, k in enumerate(sorted(set(keys)))}
+            return [order[k] for k in keys], len(order)
+
+        def refine(colors, count):
+            # The key sorts by the old colour first, so an unchanged count
+            # means unchanged colours, and a discrete colouring is final.
+            while count < n:
+                new_colors, new_count = rank([
+                    (c, tuple(sorted([colors[u] for u in nbrs])))
+                    for c, nbrs in zip(colors, neighbors)
+                ])
+                if new_count == count:
+                    break
+                colors, count = new_colors, new_count
+            return colors, count
 
         def encode(pi):
-            genus_seq = [0] * len(ids)
-            for vid in ids:
-                genus_seq[pi[vid]] = self.genus_of[vid]
+            genus_seq = [0] * n
+            for i, g in enumerate(genus):
+                genus_seq[pi[i]] = g
             edge_enc = sorted(
-                (min(pi[a], pi[b]), max(pi[a], pi[b])) for a, b in self.edges
+                (pi[i], pi[j]) if pi[i] <= pi[j] else (pi[j], pi[i])
+                for i, j in edges
             )
-            leg_enc = [pi[v] for v, _lab in self.legs]  # legs already label-sorted
+            leg_enc = [pi[i] for i in legs]
             return (tuple(genus_seq), tuple(edge_enc), tuple(leg_enc))
 
-        def search(colors):
-            colors = refine(colors)
-            cells: dict[int, list[int]] = {}
-            for vid in ids:
-                cells.setdefault(colors[vid], []).append(vid)
-            cell = next(
-                (cells[c] for c in sorted(cells) if len(cells[c]) > 1), None
-            )
-            if cell is None:  # discrete: colours are the vertex order
+        def search(colors, count):
+            colors, count = refine(colors, count)
+            if count == n:  # discrete: colours are the vertex order
                 return encode(colors)
+            size = [0] * count
+            for c in colors:
+                size[c] += 1
+            least = next(c for c, s in enumerate(size) if s > 1)
+            # Individualizing v ranks the keys (colour, u != v): the colours
+            # below the cell are single vertices and keep their ranks, v
+            # takes the cell's rank and every other vertex moves up one.
+            up = [c if c < least else c + 1 for c in colors]
             return min(
-                search(_rank({u: (colors[u], u != v) for u in ids}, ids))
-                for v in cell
+                search(up[:v] + [least] + up[v + 1:], count + 1)
+                for v in range(n)
+                if colors[v] == least
             )
 
-        key = {
-            vid: (
-                self.genus_of[vid],
-                self.valence[vid],
-                tuple(sorted(legs_at[vid])),
-                loops_at[vid],
-            )
-            for vid in ids
-        }
-        return repr(search(_rank(key, ids))).encode("ascii")
+        return repr(search(*rank([
+            (genus[i], valence[i], tuple(sorted(legs_at[i])), loops[i])
+            for i in range(n)
+        ]))).encode("ascii")
 
     def canonical_hex(self) -> str:
         return self.canonical_label.hex()
@@ -244,14 +272,6 @@ class MarkedGraph:
             vertices = [(v["id"], v["genus"]) for v in data["vertices"]]
             edges = [tuple(e) for e in data["edges"]]
             legs = [(l["vertex"], l["label"]) for l in data["legs"]]
-            # new_graph's int() would truncate a float and accept a bool
-            if any(
-                type(x) is not int
-                for part in (vertices, edges, legs)
-                for item in part
-                for x in item
-            ):
-                raise TypeError("an id, genus, label or edge end is not an int")
             return new_graph(vertices, edges, legs)
         except (KeyError, TypeError, ValueError) as exc:
             raise BadGraphDocument(f"{type(exc).__name__}: {exc}") from exc
@@ -270,9 +290,19 @@ class MarkedGraph:
         return "\n".join(lines)
 
 
-def _rank(key: dict[int, tuple], ids: Sequence[int]) -> dict[int, int]:
-    order = {k: i for i, k in enumerate(sorted(set(key.values())))}
-    return {vid: order[key[vid]] for vid in ids}
+def _integer(
+    value, what: str, error: type[VerkitError] = BadGraphDocument
+) -> int:
+    """value as an int; ``error`` for a boolean, a float or any other value
+    that is not an integer, where int() would truncate or accept."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool):
+        raise error(f"{what} {value!r} is a boolean, not an integer")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} {value!r} is not an integer") from None
 
 
 def new_graph(
@@ -282,14 +312,22 @@ def new_graph(
 ) -> MarkedGraph:
     """Validate and normalize raw graph data into a MarkedGraph.
 
-    Checks: distinct vertex ids, nonnegative genera, all references resolve,
-    leg labels exactly 1..n, connectivity, and stability of every vertex
-    (2*genus - 2 + valence > 0, loops counting twice).
+    Every id, genus, edge end and leg label is read as an integer in the
+    pass that first uses it (BadGraphDocument for a boolean or a float).
+    Checks, in this order: distinct vertex ids, at least one vertex,
+    nonnegative genera, all references resolve, leg labels exactly 1..n,
+    connectivity, and stability of every vertex (2*genus - 2 + valence > 0,
+    loops counting twice).
     """
-    verts = tuple((int(v), int(g)) for v, g in vertices)
-    ids = [v for v, _ in verts]
-    idset = set(ids)
-    if len(idset) != len(ids):
+    verts = tuple([
+        (
+            v if type(v) is int else _integer(v, "vertex id"),
+            g if type(g) is int else _integer(g, "genus"),
+        )
+        for v, g in vertices
+    ])
+    valence = {vid: 0 for vid, _ in verts}  # also the id set
+    if len(valence) != len(verts):
         raise DanglingReference("duplicate vertex ids")
     if not verts:
         raise DisconnectedGraph("graph has no vertices")
@@ -297,48 +335,51 @@ def new_graph(
         if g < 0:
             raise UnstableVertex(f"vertex {vid} has negative genus {g}")
 
+    adj: dict[int, list[int]] = {vid: [] for vid in valence}
     norm_edges = []
     for a, b in edges:
-        a, b = int(a), int(b)
-        if a not in idset or b not in idset:
+        a = a if type(a) is int else _integer(a, "edge end")
+        b = b if type(b) is int else _integer(b, "edge end")
+        if a not in valence or b not in valence:
             raise DanglingReference(f"edge ({a},{b}) references a missing vertex")
+        valence[a] += 1
+        valence[b] += 1
+        adj[a].append(b)
+        adj[b].append(a)
         norm_edges.append((a, b) if a <= b else (b, a))
 
     norm_legs = []
     for v, lab in legs:
-        v, lab = int(v), int(lab)
-        if v not in idset:
+        v = v if type(v) is int else _integer(v, "leg vertex")
+        lab = lab if type(lab) is int else _integer(lab, "leg label")
+        if v not in valence:
             raise DanglingReference(f"leg {lab} references missing vertex {v}")
+        valence[v] += 1
         norm_legs.append((v, lab))
-    norm_legs.sort(key=lambda p: p[1])
+    norm_legs.sort(key=operator.itemgetter(1))
     labels = [lab for _, lab in norm_legs]
     if labels != list(range(1, len(labels) + 1)):
         raise BadLegLabels(f"leg labels {labels} are not exactly 1..n")
 
-    # connectivity
-    adj: dict[int, set[int]] = {vid: set() for vid in ids}
-    for a, b in norm_edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {ids[0]}
-    stack = [ids[0]]
+    root = verts[0][0]
+    seen = {root}
+    stack = [root]
     while stack:
         for u in adj[stack.pop()]:
             if u not in seen:
                 seen.add(u)
                 stack.append(u)
-    if len(seen) != len(ids):
+    if len(seen) != len(verts):
         raise DisconnectedGraph(
-            f"{len(ids) - len(seen)} vertices unreachable from vertex {ids[0]}"
+            f"{len(verts) - len(seen)} vertices unreachable from vertex {root}"
         )
 
-    g = MarkedGraph(verts, tuple(norm_edges), tuple(norm_legs))
     for vid, genus in verts:
-        if 2 * genus - 2 + g.valence[vid] <= 0:
+        if 2 * genus - 2 + valence[vid] <= 0:
             raise UnstableVertex(
-                f"vertex {vid}: genus {genus}, valence {g.valence[vid]}"
+                f"vertex {vid}: genus {genus}, valence {valence[vid]}"
             )
-    return g
+    return MarkedGraph(verts, tuple(norm_edges), tuple(norm_legs))
 
 
 def are_isomorphic(g1: MarkedGraph, g2: MarkedGraph) -> bool:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
 import os
 import weakref
 from dataclasses import dataclass
@@ -41,6 +40,7 @@ import numpy as np
 
 from .errors import BadWeighting, BadWorkLimit, GraphMismatch, InstanceTooLarge
 from .graphs import MarkedGraph, require_tree, require_trivalent
+from .graphs import _integer as _read_integer
 
 DEFAULT_BRUTE_LIMIT = 10**8
 
@@ -152,13 +152,8 @@ class LevelledWeighting:
 
 def _integer(value, what: str) -> int:
     """value as an int; BadWeighting for a boolean, a float or any other
-    value that is not an integer, where int() would truncate or accept."""
-    if isinstance(value, bool):
-        raise BadWeighting(f"{what} {value!r} is a boolean, not an integer")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise BadWeighting(f"{what} {value!r} is not an integer") from None
+    value that is not an integer."""
+    return _read_integer(value, what, BadWeighting)
 
 
 def _leg_vector(graph: MarkedGraph, leaf_weights) -> tuple[int, ...]:
@@ -184,14 +179,18 @@ def _leg_vector(graph: MarkedGraph, leaf_weights) -> tuple[int, ...]:
 
 
 def is_point(graph: MarkedGraph, w: LevelledWeighting) -> bool:
-    """Does the weighting satisfy every vertex condition at its level?"""
+    """Does the weighting satisfy every vertex condition at its level?
+
+    BadWeighting if a weight or the level is not an integer."""
     require_trivalent(graph)
     if w.graph != graph:
         raise GraphMismatch("weighting lives on a different graph")
-    L = w.level
+    L = _integer(w.level, "level")
     if L < 0:
         return False
-    values = w.edge_weights + w.leg_weights
+    values = tuple(
+        _integer(x, "weight") for x in w.edge_weights + w.leg_weights
+    )
     if any(x < 0 or x > L for x in values):
         return False
     return all(

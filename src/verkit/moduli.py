@@ -27,6 +27,7 @@ from .graphs import (
     require_trivalent,
     trinode,
 )
+from .lattice import _integer
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,9 @@ class StratumComplex:
 
 
 def _check_signature(genus: int, n_legs: int) -> None:
+    """BadWeighting for a genus or leg count that is not an integer,
+    UnstableSignature for a signature with no stable graph."""
+    genus, n_legs = _integer(genus, "genus"), _integer(n_legs, "leg count")
     if genus < 0 or n_legs < 0 or 2 * genus - 2 + n_legs <= 0:
         raise UnstableSignature(
             f"no stable graph with genus {genus} and {n_legs} legs"
@@ -106,7 +110,7 @@ def _glue_top_legs(graph: MarkedGraph, n_keep: int) -> MarkedGraph:
     return new_graph(graph.vertices, edges, legs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_trivalent(genus: int, n_legs: int) -> tuple[MarkedGraph, ...]:
     """All trivalent genus-0-vertex classes with b1 = genus, legs 1..n."""
     _check_signature(genus, n_legs)

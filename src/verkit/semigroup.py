@@ -221,12 +221,19 @@ class Functional:
         return all(v > 0 for v in self.edge_values)
 
 
+def _rational(value) -> Fraction:
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a boolean, not a rational number")
+    return Fraction(value)
+
+
 def new_functional(graph: MarkedGraph, edge_values, leg_values) -> Functional:
     """Read the values as Fractions: BadWeighting for a value that is not a
-    rational number or is negative, GraphMismatch for the wrong count."""
+    rational number (a boolean, say) or is negative, GraphMismatch for the
+    wrong count."""
     try:
-        ev = tuple(Fraction(v) for v in edge_values)
-        lv = tuple(Fraction(v) for v in leg_values)
+        ev = tuple(_rational(v) for v in edge_values)
+        lv = tuple(_rational(v) for v in leg_values)
     except (TypeError, ValueError, OverflowError) as exc:
         raise BadWeighting(f"functional value: {exc}") from None
     if len(ev) != len(graph.edges) or len(lv) != graph.n_legs:

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -277,3 +278,49 @@ def test_all_distinct_caterpillar_splits():
     ]
     for g1, g2 in itertools.combinations(splits, 2):
         assert not are_isomorphic(g1, g2)
+
+
+# Each row holds one fault or two; the error is that of the check new_graph
+# runs first, so the rows pin the order of the checks.
+LEGS3 = [(0, 1), (0, 2), (0, 3)]
+MALFORMED = [
+    ([(0, 0), (0, 0)], [(0, 9)], LEGS3, DanglingReference, "duplicate"),
+    ([(0, -1), (0, 0)], [], LEGS3, DanglingReference, "duplicate"),
+    ([], [], [(0, 1)], DisconnectedGraph, "no vertices"),
+    ([(0, -1), (1, 0)], [(0, 5)], LEGS3, UnstableVertex, "negative genus"),
+    ([(0, -1), (1, 0)], [], LEGS3, UnstableVertex, "negative genus"),
+    ([(0, 0)], [(0, 4)], [(7, 1)], DanglingReference, r"edge \(0,4\)"),
+    ([(0, 0)], [], [(0, 1), (5, 2), (0, 4)], DanglingReference, "leg 2"),
+    ([(0, 0), (1, 0)], [], LEGS3 + [(1, 5), (1, 6), (1, 7)], BadLegLabels,
+     "not exactly"),
+    ([(0, 0)], [], [(0, 1), (0, 3)], BadLegLabels, "not exactly"),
+    ([(0, 0), (1, 0)], [], LEGS3 + [(1, 4)], DisconnectedGraph,
+     "unreachable from vertex 0"),
+    ([(0, 0), (1, 0)], [(0, 1)], [(0, 1), (0, 2), (1, 3)], UnstableVertex,
+     "vertex 1: genus 0, valence 2"),
+]
+
+
+@pytest.mark.parametrize("vertices, edges, legs, error, message", MALFORMED)
+def test_new_graph_checks_run_in_a_fixed_order(vertices, edges, legs, error,
+                                               message):
+    with pytest.raises(error, match=message):
+        new_graph(vertices, edges, legs)
+
+
+def test_new_graph_refuses_non_integers():
+    rows = [
+        ([(0, 0)], [], [(0, 1), (0, 2), (0, 3.7)]),  # int() would make leg 3
+        ([(0, True)], [(0, 0)], [(0, 1)]),  # int() would make genus 1
+        ([(0.0, 0)], [], LEGS3),
+        ([(0, 0), (1, 0)], [(0, 1), (0, True), (1, 1)], []),
+        ([(0, 0)], [], [(False, 1), (0, 2), (0, 3)]),
+        ([("0", 0)], [], LEGS3),
+        ([(0, True), (0, 0)], [], LEGS3),  # read before the duplicate check
+    ]
+    for vertices, edges, legs in rows:
+        with pytest.raises(BadGraphDocument):
+            new_graph(vertices, edges, legs)
+    g = new_graph([(np.int64(0), np.int8(0))], [], [(0, np.int64(1)), (0, 2),
+                                                    (0, 3)])
+    assert g == trinode() and type(g.vertices[0][0]) is int

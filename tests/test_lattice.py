@@ -92,6 +92,10 @@ def test_is_point_validation():
     g, h = dumbbell(), theta_graph()
     with pytest.raises(GraphMismatch):
         is_point(g, LevelledWeighting(h, (0, 0, 0), (), 1))
+    t = trinode()
+    for legs, level in [((True, 1, 0), 1), ((1, 1, 0), True), ((1.0, 1, 0), 1)]:
+        with pytest.raises(BadWeighting):
+            is_point(t, LevelledWeighting(t, (), legs, level))
 
 
 def test_count_points_frozen_examples():

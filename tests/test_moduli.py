@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from verkit import (
+    BadWeighting,
     StratumComplex,
     UnstableSignature,
     are_isomorphic,
@@ -271,3 +274,34 @@ def test_enumeration_order_is_stable():
 def test_stratum_complex_is_dataclass_value():
     assert contraction_poset(0, 4) == contraction_poset(0, 4)
     assert isinstance(flip_complex(1, 1), StratumComplex)
+
+
+def test_signature_arguments_are_integers():
+    # Cache the int signatures first: equal floats and booleans must miss.
+    enumerate_trivalent(0, 5), enumerate_trivalent(1, 1)
+    for genus, n_legs in [(0, 5.0), (True, 1), (0, 5.5), (0, "4"), (1.0, 1)]:
+        with pytest.raises(BadWeighting):
+            enumerate_trivalent(genus, n_legs)
+        with pytest.raises(BadWeighting):
+            enumerate_stable(genus, n_legs)
+        with pytest.raises(BadWeighting):
+            contraction_poset(genus, n_legs)
+        with pytest.raises(BadWeighting):
+            flip_connectivity(genus, n_legs)
+
+
+def test_labels_and_class_order_are_pinned():
+    """The labels of these classes, in enumeration order, hash to the
+    digest they had when it was recorded: a new labelling algorithm must
+    give the same bytes, and so the same class order."""
+    trivalent = [(0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (1, 1), (1, 2),
+                 (1, 3), (1, 4), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1),
+                 (4, 0)]
+    stable = [(0, 4), (0, 5), (0, 6), (1, 1), (1, 2), (2, 0), (2, 1)]
+    labels = [g.canonical_label for s in trivalent
+              for g in enumerate_trivalent(*s)]
+    labels += [g.canonical_label for s in stable for g in enumerate_stable(*s)]
+    assert len(labels) == 1463
+    assert hashlib.sha256(b"\n".join(labels)).hexdigest() == (
+        "96143711d46e75fe631417034520af0f1a714d98ffc0311d70415e7e65e733cf"
+    )

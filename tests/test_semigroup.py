@@ -286,6 +286,10 @@ def test_new_functional_validation():
     for values in [("x", 1, 1), (None, 1, 1), (float("inf"), 1, 1)]:
         with pytest.raises(BadWeighting):
             new_functional(t, (), values)
+    with pytest.raises(BadWeighting):
+        new_functional(t, (), (True, 1, 1))
+    with pytest.raises(BadWeighting):
+        new_functional(dumbbell(), (1, False, 1), ())
 
 
 def test_filtration_graph_mismatch():
