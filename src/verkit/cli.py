@@ -2,9 +2,10 @@
 
 Every computation in the package is reachable through a subcommand; output
 is deterministic, arbitrary-precision decimal on stdout, errors on stderr.
-Exit codes: 0 success, 2 domain error (error class name included in the
-message), 3 closed form cannot be rounded with certainty, 1 cross-method
-disagreement.
+Exit codes: 0 success, 1 cross-method disagreement under
+``verlinde --method all`` and nothing else, 2 domain or usage error (error
+class name included in the message), 3 closed form cannot be rounded with
+certainty, which includes a closed form outside double range.
 """
 
 from __future__ import annotations
@@ -12,8 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
-from .errors import NumericalResidual, VerkitError
+from .errors import (
+    BadGraphDocument,
+    BadWeighting,
+    NumericalResidual,
+    VerkitError,
+)
 from .graphs import MarkedGraph
 from .lattice import (
     count_points,
@@ -41,81 +48,72 @@ def _parse_weights(text: str) -> tuple[int, ...]:
     text = (text or "").strip()
     if not text:
         return ()
-    return tuple(int(part) for part in text.split(","))
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError as exc:
+        raise BadWeighting(f"weights {text!r}: {exc}") from exc
 
 
 def _load_graph(path: str) -> MarkedGraph:
-    if path == "-":
-        return MarkedGraph.from_json(sys.stdin.read())
-    with open(path, encoding="utf-8") as fh:
-        return MarkedGraph.from_json(fh.read())
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise BadGraphDocument(f"graph file is not UTF-8: {exc}") from exc
+    return MarkedGraph.from_json(text)
 
 
-def _emit(data) -> None:
-    print(json.dumps(data, separators=(",", ":")))
+def _dumps(data) -> str:
+    return json.dumps(data, separators=(",", ":"))
+
+
+def _show(args, doc, lines) -> int:
+    """Print doc as compact JSON under --json, else the lines."""
+    if args.json:
+        print(_dumps(doc))
+    else:
+        for line in lines:
+            print(line)
+    return 0
 
 
 def _cmd_verlinde(args) -> int:
-    r = _parse_weights(args.weights)
+    # Looked up at call time, so that tests can replace a route.
     routes = {
         "count": verlinde,
         "closed": verlinde_closed_form,
         "factor": verlinde_factor,
     }
+    r = _parse_weights(args.weights)
+    names = list(routes) if args.method == "all" else [args.method]
+    values = {name: routes[name](args.genus, r, args.level) for name in names}
+    agree = len(set(values.values())) == 1
+    doc = {"genus": args.genus, "weights": list(r), "level": args.level}
     if args.method == "all":
-        values = {
-            name: fn(args.genus, r, args.level) for name, fn in routes.items()
-        }
-        if args.json:
-            _emit(
-                {
-                    "genus": args.genus,
-                    "weights": list(r),
-                    "level": args.level,
-                    "values": {k: str(v) for k, v in values.items()},
-                    "agree": len(set(values.values())) == 1,
-                }
-            )
-        else:
-            for name in ("count", "closed", "factor"):
-                print(values[name])
-        if len(set(values.values())) != 1:
-            print(f"methods disagree: {values}", file=sys.stderr)
-            return 1
-        return 0
-    value = routes[args.method](args.genus, r, args.level)
-    if args.json:
-        _emit(
-            {
-                "genus": args.genus,
-                "weights": list(r),
-                "level": args.level,
-                "method": args.method,
-                "value": str(value),
-            }
-        )
+        doc.update(values={k: str(v) for k, v in values.items()}, agree=agree)
     else:
-        print(value)
+        doc.update(method=args.method, value=str(values[args.method]))
+    _show(args, doc, values.values())
+    if not agree:
+        print(f"methods disagree: {values}", file=sys.stderr)
+        return 1
     return 0
 
 
 def _cmd_count(args) -> int:
-    graph = _load_graph(args.graph)
-    r = _parse_weights(args.weights)
     fn = count_points_bruteforce if args.brute else count_points
-    value = fn(graph, r, args.level)
-    if args.json:
-        _emit({"value": str(value)})
-    else:
-        print(value)
-    return 0
+    value = fn(_load_graph(args.graph), _parse_weights(args.weights),
+               args.level)
+    return _show(args, {"value": str(value)}, [value])
 
 
 def _cmd_points(args) -> int:
     graph = _load_graph(args.graph)
-    r = _parse_weights(args.weights)
-    for w in enumerate_points(graph, r, args.level):
-        _emit(w.to_json())
+    for w in enumerate_points(graph, _parse_weights(args.weights), args.level):
+        print(_dumps(w.to_json()))
     return 0
 
 
@@ -123,58 +121,26 @@ def _cmd_hilbert(args) -> int:
     graph = _load_graph(args.graph)
     if args.grading == "cox":
         table = hilbert_cox(graph, args.max)
+    elif args.base_weights is None or args.base_level is None:
+        print(
+            "hilbert --grading projective needs --base-weights and "
+            "--base-level",
+            file=sys.stderr,
+        )
+        return 2
     else:
-        if args.base_weights is None or args.base_level is None:
-            print(
-                "hilbert --grading projective needs --base-weights and "
-                "--base-level",
-                file=sys.stderr,
-            )
-            return 2
         table = hilbert_projective(
-            graph,
-            _parse_weights(args.base_weights),
-            args.base_level,
-            args.max,
+            graph, _parse_weights(args.base_weights), args.base_level, args.max
         )
-    if args.json:
-        _emit(table.to_json())
-    else:
-        for v in table.values:
-            print(v)
-    return 0
+    return _show(args, table.to_json(), table.values)
 
 
-def _cmd_gorenstein(args) -> int:
-    graph = _load_graph(args.graph)
-    ok, certificates = gorenstein_check(graph, args.bound)
-    if args.json:
-        _emit(
-            {
-                "holds": ok,
-                "level_bound": args.bound,
-                "interior_points": len(certificates),
-            }
-        )
-    else:
-        print("true")
-    return 0
-
-
-def _cmd_gen1(args) -> int:
-    graph = _load_graph(args.graph)
-    ok, certificates = degree_one_generation_check(graph, args.bound)
-    if args.json:
-        _emit(
-            {
-                "holds": ok,
-                "level_bound": args.bound,
-                "points_checked": len(certificates),
-            }
-        )
-    else:
-        print("true")
-    return 0
+def _cmd_check(check, count_key: str, args) -> int:
+    """A certificate check raises on a counterexample: a return means it
+    holds."""
+    ok, certs = check(_load_graph(args.graph), args.bound)
+    doc = {"holds": ok, "level_bound": args.bound, count_key: len(certs)}
+    return _show(args, doc, ["true"])
 
 
 def _cmd_graphs(args) -> int:
@@ -184,19 +150,12 @@ def _cmd_graphs(args) -> int:
         classes = enumerate_trivalent(args.genus, args.legs)
         print("\n\n".join(g.to_dot(f"c{i}") for i, g in enumerate(classes)))
     elif args.json:
-        comp = (
-            contraction_poset(args.genus, args.legs)
-            if args.stable
-            else flip_complex(args.genus, args.legs)
-        )
-        _emit(comp.to_json())
+        complex_of = contraction_poset if args.stable else flip_complex
+        print(_dumps(complex_of(args.genus, args.legs).to_json()))
     else:
         listing = enumerate_stable if args.stable else enumerate_trivalent
         for i, g in enumerate(listing(args.genus, args.legs)):
-            print(
-                f"{i} {g.canonical_hex()} "
-                f"{json.dumps(g.to_json(), separators=(',', ':'))}"
-            )
+            print(f"{i} {g.canonical_hex()} {_dumps(g.to_json())}")
     return 0
 
 
@@ -204,16 +163,31 @@ def _cmd_flips(args) -> int:
     comp = flip_complex(args.genus, args.legs)
     if args.dot:
         print(flip_dot(comp))
-        return 0
-    if args.json:
-        _emit(comp.to_json())
-        return 0
-    for i, j, witness in comp.flips:
-        print(f"{i} {j} {witness.hex()}")
+    elif args.json:
+        print(_dumps(comp.to_json()))
+    else:
+        for i, j, witness in comp.flips:
+            print(f"{i} {j} {witness.hex()}")
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def shared(*flags, **kwargs) -> argparse.ArgumentParser:
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*flags, **kwargs)
+        return parent
+
+    graph = shared("--graph", required=True,
+                   help="graph JSON file, - for stdin")
+    weights = shared("--weights", default="",
+                     help='comma separated, "" for none')
+    level = shared("--level", type=int, required=True)
+    genus = shared("--genus", type=int, required=True)
+    legs = shared("--legs", type=int, required=True)
+    bound = shared("--bound", type=int, required=True, help="level bound")
+    dot = shared("--dot", action="store_true")
+    as_json = shared("--json", action="store_true")
+
     parser = argparse.ArgumentParser(
         prog="verkit",
         description=(
@@ -223,88 +197,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("verlinde", help="Verlinde number of (genus, weights, level)")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--weights", default="", help='comma separated, "" for none')
-    p.add_argument("--level", type=int, required=True)
+    def command(name, summary, func, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, parents=parents)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("verlinde", "Verlinde number of (genus, weights, level)",
+                _cmd_verlinde, genus, weights, level, as_json)
     p.add_argument(
         "--method",
         choices=["count", "closed", "factor", "all"],
         default="count",
     )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verlinde)
-
-    p = sub.add_parser("count", help="lattice count on an explicit graph")
-    p.add_argument("--graph", required=True, help="graph JSON file, - for stdin")
-    p.add_argument("--weights", default="")
-    p.add_argument("--level", type=int, required=True)
+    p = command("count", "lattice count on an explicit graph", _cmd_count,
+                graph, weights, level, as_json)
     p.add_argument("--brute", action="store_true", help="literal enumeration")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("points", help="stream the admissible weightings")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--weights", default="")
-    p.add_argument("--level", type=int, required=True)
-    p.set_defaults(func=_cmd_points)
-
-    p = sub.add_parser("hilbert", help="graded dimension table")
-    p.add_argument("--graph", required=True)
+    command("points", "stream the admissible weightings", _cmd_points,
+            graph, weights, level)
+    p = command("hilbert", "graded dimension table", _cmd_hilbert,
+                graph, as_json)
     p.add_argument("--grading", choices=["cox", "projective"], required=True)
     p.add_argument("--base-weights", dest="base_weights")
     p.add_argument("--base-level", dest="base_level", type=int)
     p.add_argument("--max", type=int, required=True, help="top degree")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_hilbert)
-
-    p = sub.add_parser("gorenstein", help="interior-point decomposition check")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--bound", type=int, required=True, help="level bound")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_gorenstein)
-
-    p = sub.add_parser("gen1", help="degree-1 generation check (trees only)")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--bound", type=int, required=True, help="level bound")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_gen1)
-
-    p = sub.add_parser("graphs", help="isomorphism classes of a signature")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--legs", type=int, required=True)
+    command("gorenstein", "interior-point decomposition check",
+            partial(_cmd_check, gorenstein_check, "interior_points"),
+            graph, bound, as_json)
+    command("gen1", "degree-1 generation check (trees only)",
+            partial(_cmd_check, degree_one_generation_check, "points_checked"),
+            graph, bound, as_json)
+    p = command("graphs", "isomorphism classes of a signature", _cmd_graphs,
+                genus, legs, dot, as_json)
     p.add_argument("--stable", action="store_true")
-    p.add_argument("--dot", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_graphs)
-
-    p = sub.add_parser("flips", help="flip adjacency of trivalent classes")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--legs", type=int, required=True)
-    p.add_argument("--dot", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_flips)
-
+    command("flips", "flip adjacency of trivalent classes", _cmd_flips,
+            genus, legs, dot, as_json)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except NumericalResidual as exc:
+    except (VerkitError, OSError) as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 3
-    except VerkitError as exc:
-        print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
-        print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NumericalResidual) else 2
 
 
 if __name__ == "__main__":

@@ -317,45 +317,56 @@ def new_graph(
     Checks, in this order: distinct vertex ids, at least one vertex,
     nonnegative genera, all references resolve, leg labels exactly 1..n,
     connectivity, and stability of every vertex (2*genus - 2 + valence > 0,
-    loops counting twice).
+    loops counting twice).  Data of the wrong shape, a vertex, edge or leg
+    that is not a pair, say, raises BadGraphDocument.
     """
-    verts = tuple([
-        (
-            v if type(v) is int else _integer(v, "vertex id"),
-            g if type(g) is int else _integer(g, "genus"),
-        )
-        for v, g in vertices
-    ])
-    valence = {vid: 0 for vid, _ in verts}  # also the id set
-    if len(valence) != len(verts):
-        raise DanglingReference("duplicate vertex ids")
-    if not verts:
-        raise DisconnectedGraph("graph has no vertices")
-    for vid, g in verts:
-        if g < 0:
-            raise UnstableVertex(f"vertex {vid} has negative genus {g}")
+    try:
+        verts = tuple([
+            (
+                v if type(v) is int else _integer(v, "vertex id"),
+                g if type(g) is int else _integer(g, "genus"),
+            )
+            for v, g in vertices
+        ])
+        valence = {vid: 0 for vid, _ in verts}  # also the id set
+        if len(valence) != len(verts):
+            raise DanglingReference("duplicate vertex ids")
+        if not verts:
+            raise DisconnectedGraph("graph has no vertices")
+        for vid, g in verts:
+            if g < 0:
+                raise UnstableVertex(f"vertex {vid} has negative genus {g}")
 
-    adj: dict[int, list[int]] = {vid: [] for vid in valence}
-    norm_edges = []
-    for a, b in edges:
-        a = a if type(a) is int else _integer(a, "edge end")
-        b = b if type(b) is int else _integer(b, "edge end")
-        if a not in valence or b not in valence:
-            raise DanglingReference(f"edge ({a},{b}) references a missing vertex")
-        valence[a] += 1
-        valence[b] += 1
-        adj[a].append(b)
-        adj[b].append(a)
-        norm_edges.append((a, b) if a <= b else (b, a))
+        adj: dict[int, list[int]] = {vid: [] for vid in valence}
+        norm_edges = []
+        for a, b in edges:
+            a = a if type(a) is int else _integer(a, "edge end")
+            b = b if type(b) is int else _integer(b, "edge end")
+            if a not in valence or b not in valence:
+                raise DanglingReference(
+                    f"edge ({a},{b}) references a missing vertex"
+                )
+            valence[a] += 1
+            valence[b] += 1
+            adj[a].append(b)
+            adj[b].append(a)
+            norm_edges.append((a, b) if a <= b else (b, a))
 
-    norm_legs = []
-    for v, lab in legs:
-        v = v if type(v) is int else _integer(v, "leg vertex")
-        lab = lab if type(lab) is int else _integer(lab, "leg label")
-        if v not in valence:
-            raise DanglingReference(f"leg {lab} references missing vertex {v}")
-        valence[v] += 1
-        norm_legs.append((v, lab))
+        norm_legs = []
+        for v, lab in legs:
+            v = v if type(v) is int else _integer(v, "leg vertex")
+            lab = lab if type(lab) is int else _integer(lab, "leg label")
+            if v not in valence:
+                raise DanglingReference(
+                    f"leg {lab} references missing vertex {v}"
+                )
+            valence[v] += 1
+            norm_legs.append((v, lab))
+    except (TypeError, ValueError) as exc:
+        # a row that is not a pair, or data that is not iterable
+        raise BadGraphDocument(
+            f"graph data of the wrong shape: {type(exc).__name__}: {exc}"
+        ) from exc
     norm_legs.sort(key=operator.itemgetter(1))
     labels = [lab for _, lab in norm_legs]
     if labels != list(range(1, len(labels) + 1)):

@@ -74,14 +74,15 @@ class StratumComplex:
         }
 
 
-def _check_signature(genus: int, n_legs: int) -> None:
-    """BadWeighting for a genus or leg count that is not an integer,
-    UnstableSignature for a signature with no stable graph."""
+def _check_signature(genus: int, n_legs: int) -> tuple[int, int]:
+    """The signature as ints; BadWeighting for a genus or leg count that is
+    not an integer, UnstableSignature for a signature with no stable graph."""
     genus, n_legs = _integer(genus, "genus"), _integer(n_legs, "leg count")
     if genus < 0 or n_legs < 0 or 2 * genus - 2 + n_legs <= 0:
         raise UnstableSignature(
             f"no stable graph with genus {genus} and {n_legs} legs"
         )
+    return genus, n_legs
 
 
 def _insert_leg(graph: MarkedGraph, slot: int, new_label: int) -> MarkedGraph:
@@ -110,20 +111,24 @@ def _glue_top_legs(graph: MarkedGraph, n_keep: int) -> MarkedGraph:
     return new_graph(graph.vertices, edges, legs)
 
 
-@lru_cache(maxsize=None, typed=True)
 def enumerate_trivalent(genus: int, n_legs: int) -> tuple[MarkedGraph, ...]:
     """All trivalent genus-0-vertex classes with b1 = genus, legs 1..n."""
-    _check_signature(genus, n_legs)
+    # read as ints first, so that a numpy integer signature hits the cache
+    return _trivalent(*_check_signature(genus, n_legs))
+
+
+@lru_cache(maxsize=None)
+def _trivalent(genus: int, n_legs: int) -> tuple[MarkedGraph, ...]:
     if (genus, n_legs) == (0, 3):
         return (trinode(),)
     found: dict[bytes, MarkedGraph] = {}
     if n_legs > 0 and 2 * genus - 2 + (n_legs - 1) > 0:
-        for g in enumerate_trivalent(genus, n_legs - 1):
+        for g in _trivalent(genus, n_legs - 1):
             for slot in range(len(g.edges) + g.n_legs):
                 cand = _insert_leg(g, slot, n_legs)
                 found.setdefault(cand.canonical_label, cand)
     else:
-        for g in enumerate_trivalent(genus - 1, n_legs + 2):
+        for g in _trivalent(genus - 1, n_legs + 2):
             cand = _glue_top_legs(g, n_legs)
             found.setdefault(cand.canonical_label, cand)
     return tuple(found[k] for k in sorted(found))

@@ -115,7 +115,7 @@ def verlinde_closed_form(genus: int, leaf_weights, level: int) -> int:
     Next to the double-precision sum this accumulates an a-priori bound B
     on its rounding error; the value is rounded only when its distance to
     the nearest integer plus B is below 1/2, and NumericalResidual is
-    raised otherwise.
+    raised otherwise, also when a term, the sum or B leaves double range.
     """
     r, L = _normalize(genus, leaf_weights, level)
     if L < 0 or any(x < 0 or x > L for x in r):
@@ -132,18 +132,23 @@ def verlinde_closed_form(genus: int, leaf_weights, level: int) -> int:
     power_err = abs(p) * (1.5 * math.pi * q + 2) * u + 3 * u
     terms = []
     bound = 0.0
-    for j in range(1, L + 2):
-        x = math.pi * j / q
-        prod = 1.0
-        for ri in r:
-            prod *= math.sin((ri + 1) * x)
-        power = math.sin(x) ** p
-        term = prod * power
-        terms.append(term)
-        bound += abs(power) * n * sine_err + abs(term) * power_err
-    scale = (q / 2.0) ** (genus - 1)
-    value = scale * math.fsum(terms)
+    try:
+        for j in range(1, L + 2):
+            x = math.pi * j / q
+            prod = 1.0
+            for ri in r:
+                prod *= math.sin((ri + 1) * x)
+            power = math.sin(x) ** p
+            term = prod * power
+            terms.append(term)
+            bound += abs(power) * n * sine_err + abs(term) * power_err
+        scale = (q / 2.0) ** (genus - 1)
+        value = scale * math.fsum(terms)
+    except OverflowError:  # a power, the scale or the sum leaves double range
+        raise NumericalResidual(math.inf, math.inf) from None
     bound *= 2 * scale  # twice the first-order estimate
+    if not math.isfinite(value + bound):  # a product past double range
+        raise NumericalResidual(value, bound)
     nearest = round(value)
     if abs(value - nearest) + bound >= 0.5:
         raise NumericalResidual(value, bound)

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 from verkit import caterpillar, dumbbell, moduli, theta_graph, trinode
-from verkit.cli import main
+from verkit.cli import build_parser, main
 from verkit.errors import NumericalResidual
 
 
@@ -289,6 +291,28 @@ def test_list_shaped_graph_is_input_error(tmp_path, capsys):
     assert "BadGraphDocument" in capsys.readouterr().err
 
 
+def test_non_integer_weight_is_domain_error(cat_file, capsys):
+    code = main(["count", "--graph", cat_file, "--weights", "1,x",
+                 "--level", "2"])
+    assert code == 2
+    assert "BadWeighting" in capsys.readouterr().err
+
+
+def test_graph_file_not_utf8_is_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"vertices": "\xe9"}')
+    code = main(["count", "--graph", str(path), "--weights", "", "--level", "1"])
+    assert code == 2
+    assert "BadGraphDocument" in capsys.readouterr().err
+
+
+def test_closed_form_outside_double_range_exits_three(capsys):
+    code = main(["verlinde", "--genus", "400", "--weights", "", "--level", "5",
+                 "--method", "closed"])
+    assert code == 3
+    assert "NumericalResidual" in capsys.readouterr().err
+
+
 def test_residual_failure_exits_three(monkeypatch, capsys):
     def explode(genus, r, level):
         raise NumericalResidual(3.5, 0.5)
@@ -309,3 +333,123 @@ def test_console_entry_point_end_to_end():
     )
     assert proc.returncode == 0
     assert proc.stdout == "8\n8\n8\n"
+
+
+# Every subcommand's options, read from the parser: option string ->
+# (required, default, choices, type, nargs).  A refactor of the parser must
+# leave this table as it is.
+_INT = (True, None, None, int, None)
+_GRAPH = (True, None, None, None, None)
+_WEIGHTS = (False, "", None, None, None)
+_FLAG = (False, False, None, None, 0)
+OPTIONS = {
+    "verlinde": {
+        "--genus": _INT, "--weights": _WEIGHTS, "--level": _INT,
+        "--method": (False, "count", ["count", "closed", "factor", "all"],
+                     None, None),
+        "--json": _FLAG,
+    },
+    "count": {"--graph": _GRAPH, "--weights": _WEIGHTS, "--level": _INT,
+              "--brute": _FLAG, "--json": _FLAG},
+    "points": {"--graph": _GRAPH, "--weights": _WEIGHTS, "--level": _INT},
+    "hilbert": {
+        "--graph": _GRAPH,
+        "--grading": (True, None, ["cox", "projective"], None, None),
+        "--base-weights": (False, None, None, None, None),
+        "--base-level": (False, None, None, int, None),
+        "--max": _INT, "--json": _FLAG,
+    },
+    "gorenstein": {"--graph": _GRAPH, "--bound": _INT, "--json": _FLAG},
+    "gen1": {"--graph": _GRAPH, "--bound": _INT, "--json": _FLAG},
+    "graphs": {"--genus": _INT, "--legs": _INT, "--stable": _FLAG,
+               "--dot": _FLAG, "--json": _FLAG},
+    "flips": {"--genus": _INT, "--legs": _INT, "--dot": _FLAG,
+              "--json": _FLAG},
+}
+
+
+def test_options_are_pinned():
+    subparsers = build_parser()._subparsers._group_actions[0]
+    found = {
+        name: {
+            a.option_strings[0]: (a.required, a.default, a.choices, a.type,
+                                  a.nargs)
+            for a in sub._actions
+            if a.option_strings and a.option_strings[0] != "-h"
+        }
+        for name, sub in subparsers.choices.items()
+    }
+    assert found == OPTIONS
+    assert all(len(a.option_strings) <= 1 or a.option_strings[0] == "-h"
+               for sub in subparsers.choices.values() for a in sub._actions)
+
+
+# Invocations whose stdout and exit code are pinned; "{cat}", "{tri}" and
+# "{dumb}" name graph files, and "-" reads the theta graph from stdin.
+PINNED = [
+    "verlinde --genus 1 --weights '' --level 7",
+    "verlinde --genus 1 --weights '' --level 7 --method all",
+    "verlinde --genus 0 --weights 1,1,1,1 --level 2 --method all --json",
+    "verlinde --genus 2 --weights '' --level 3 --method closed",
+    "verlinde --genus 2 --weights 1,1 --level 3 --method closed --json",
+    "verlinde --genus 0 --weights 1,2,1,2 --level 3 --method factor",
+    "verlinde --genus 1 --weights 2 --level 4 --json",
+    "verlinde --genus 0 --weights 1,1,1 --level 1",
+    "verlinde --genus -1 --weights '' --level 2",
+    "verlinde --genus 0 --weights ' 1, 1,1 ,1' --level 2",
+    "count --graph {cat} --weights 1,1,1,1 --level 2",
+    "count --graph {cat} --weights 1,1,1,1 --level 2 --json",
+    "count --graph {cat} --weights 1,2,1,2 --level 3 --brute",
+    "count --graph {cat} --weights 1,2,1,2 --level 3 --brute --json",
+    "count --graph - --weights '' --level 2",
+    "count --graph {cat} --weights 1,1,1 --level 2",
+    "count --graph {cat}.missing --weights '' --level 1",
+    "points --graph {cat} --weights 1,1,1,1 --level 2",
+    "points --graph {tri} --weights 2,2,2 --level 3",
+    "hilbert --graph {tri} --grading cox --max 4",
+    "hilbert --graph {tri} --grading cox --max 3 --json",
+    "hilbert --graph {tri} --grading projective --base-weights 1,1,1 "
+    "--base-level 2 --max 4",
+    "hilbert --graph {cat} --grading projective --base-weights 1,1,1,1 "
+    "--base-level 2 --max 3 --json",
+    "hilbert --graph {tri} --grading projective --max 4",
+    "gorenstein --graph {tri} --bound 6",
+    "gorenstein --graph {cat} --bound 4 --json",
+    "gen1 --graph {tri} --bound 3",
+    "gen1 --graph {cat} --bound 3 --json",
+    "gen1 --graph {dumb} --bound 2",
+    "graphs --genus 0 --legs 5",
+    "graphs --genus 1 --legs 2 --json",
+    "graphs --genus 0 --legs 5 --dot",
+    "graphs --genus 0 --legs 5 --stable",
+    "graphs --genus 1 --legs 1 --stable --json",
+    "graphs --genus 0 --legs 5 --stable --dot",
+    "graphs --genus 0 --legs 2",
+    "flips --genus 0 --legs 5",
+    "flips --genus 1 --legs 2 --json",
+    "flips --genus 0 --legs 5 --dot",
+    "",
+    "verlinde",
+    "verlinde --genus 1 --level 2 --method nope",
+]
+
+
+def test_stdout_and_exit_codes_are_pinned(tmp_path, monkeypatch, capsys):
+    """stdout and exit code of each PINNED invocation hash to the digest
+    recorded when the list was written."""
+    files = {}
+    for key, graph in (("cat", caterpillar(4)), ("tri", trinode()),
+                       ("dumb", dumbbell())):
+        files[key] = tmp_path / f"{key}.json"
+        files[key].write_text(json.dumps(graph.to_json()))
+    record = []
+    for line in PINNED:
+        monkeypatch.setattr(
+            "sys.stdin", io.StringIO(json.dumps(theta_graph().to_json()))
+        )
+        code = main(shlex.split(line.format(**files)))
+        record.append(f"{line}\n{code}\n{capsys.readouterr().out}")
+    digest = hashlib.sha256("\x00".join(record).encode()).hexdigest()
+    assert digest == (
+        "6ebdc9b0752e57823354ea16f57537a78766ef564f7e1c6e21b845e63c800420"
+    )

@@ -317,6 +317,9 @@ def test_new_graph_refuses_non_integers():
         ([(0, 0)], [], [(False, 1), (0, 2), (0, 3)]),
         ([("0", 0)], [], LEGS3),
         ([(0, True), (0, 0)], [], LEGS3),  # read before the duplicate check
+        ([(0, 0)], [(0, 0, 0)], [(0, 1)]),  # rows of the wrong shape
+        ([None], [], []),
+        ([(0, 0)], None, []),
     ]
     for vertices, edges, legs in rows:
         with pytest.raises(BadGraphDocument):

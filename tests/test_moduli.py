@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from verkit import (
@@ -288,6 +289,11 @@ def test_signature_arguments_are_integers():
             contraction_poset(genus, n_legs)
         with pytest.raises(BadWeighting):
             flip_connectivity(genus, n_legs)
+
+
+def test_numpy_integer_signature_hits_the_cache():
+    assert enumerate_trivalent(0, np.int64(7)) is enumerate_trivalent(0, 7)
+    assert enumerate_trivalent(np.int8(1), 2) is enumerate_trivalent(1, 2)
 
 
 def test_labels_and_class_order_are_pinned():

@@ -164,6 +164,12 @@ def test_closed_form_residual_guard_can_fire():
     assert exc.value.bound >= 0.5
 
 
+@pytest.mark.parametrize("genus, level", [(400, 5), (400, 40), (2000, 3)])
+def test_closed_form_refuses_outside_double_range(genus, level):
+    with pytest.raises(NumericalResidual):
+        verlinde_closed_form(genus, (), level)
+
+
 def test_closed_form_rounds_a_value_far_above_one():
     assert verlinde_closed_form(6, (), 12) == 113077051815
 
