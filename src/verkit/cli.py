@@ -118,19 +118,17 @@ def _cmd_points(args) -> int:
 
 
 def _cmd_hilbert(args) -> int:
-    graph = _load_graph(args.graph)
     if args.grading == "cox":
-        table = hilbert_cox(graph, args.max)
+        table = hilbert_cox(_load_graph(args.graph), args.max)
     elif args.base_weights is None or args.base_level is None:
-        print(
+        raise BadWeighting(
             "hilbert --grading projective needs --base-weights and "
-            "--base-level",
-            file=sys.stderr,
+            "--base-level"
         )
-        return 2
     else:
         table = hilbert_projective(
-            graph, _parse_weights(args.base_weights), args.base_level, args.max
+            _load_graph(args.graph), _parse_weights(args.base_weights),
+            args.base_level, args.max,
         )
     return _show(args, table.to_json(), table.values)
 

@@ -96,7 +96,8 @@ class CounterexampleFound(VerkitError):
 
 
 class GraphMismatch(VerkitError):
-    """Two objects that must live on the same graph do not."""
+    """Two objects that must live on the same graph do not, or a weighting
+    does not hold one weight per edge and leg of its graph."""
 
 
 class UnstableSignature(VerkitError):

@@ -28,6 +28,7 @@ from typing import Iterable, Iterator
 from .errors import (
     BadGraphDocument,
     BadLegLabels,
+    BadWeighting,
     DanglingReference,
     DisconnectedGraph,
     IsLeg,
@@ -58,23 +59,13 @@ class MarkedGraph:
     # -- basic derived data -------------------------------------------------
 
     @cached_property
-    def genus_of(self) -> dict[int, int]:
-        return {vid: g for vid, g in self.vertices}
-
-    @cached_property
     def n_legs(self) -> int:
         return len(self.legs)
 
     @cached_property
     def valence(self) -> dict[int, int]:
         """Valence per vertex: loops count twice, legs once."""
-        val = {vid: 0 for vid, _ in self.vertices}
-        for a, b in self.edges:
-            val[a] += 1
-            val[b] += 1
-        for vid, _ in self.legs:
-            val[vid] += 1
-        return val
+        return {vid: len(s) for vid, s in self.slots_at.items()}
 
     @cached_property
     def slots_at(self) -> dict[int, tuple[int, ...]]:
@@ -126,29 +117,16 @@ class MarkedGraph:
             raise IsLeg(f"slot {e} is leg {self.legs[e - ne][1]}, not an edge")
         if not 0 <= e < ne:
             raise DanglingReference(f"no edge slot {e}")
-        a, b = self.edges[e]
-        if a == b:
-            verts = tuple(
-                (vid, g + 1 if vid == a else g) for vid, g in self.vertices
-            )
-            edges = self.edges[:e] + self.edges[e + 1:]
-            return new_graph(verts, edges, self.legs)
-        keep, gone = (a, b) if a < b else (b, a)
-        verts = []
-        for vid, g in self.vertices:
-            if vid == gone:
-                continue
-            if vid == keep:
-                g = self.genus_of[a] + self.genus_of[b]
-            verts.append((vid, g))
-        remap = lambda v: keep if v == gone else v
-        edges = tuple(
-            (min(remap(x), remap(y)), max(remap(x), remap(y)))
-            for i, (x, y) in enumerate(self.edges)
-            if i != e
+        a, b = self.edges[e]  # a <= b, and b merges into a
+        genus = dict(self.vertices)
+        genus[a] += 1 if a == b else genus.pop(b)
+        remap = lambda v: a if v == b else v
+        return new_graph(
+            [(vid, genus[vid]) for vid, _ in self.vertices if vid in genus],
+            [(remap(x), remap(y)) for i, (x, y) in enumerate(self.edges)
+             if i != e],
+            [(remap(v), lab) for v, lab in self.legs],
         )
-        legs = tuple((remap(v), lab) for v, lab in self.legs)
-        return new_graph(verts, edges, legs)
 
     # -- canonical form -----------------------------------------------------
 
@@ -305,6 +283,18 @@ def _integer(
         raise error(f"{what} {value!r} is not an integer") from None
 
 
+def _check_signature(genus: int, n_legs: int) -> tuple[int, int]:
+    """The signature as ints; BadWeighting for a genus or leg count that is
+    not an integer, UnstableSignature for a signature with no stable graph."""
+    genus = _integer(genus, "genus", BadWeighting)
+    n_legs = _integer(n_legs, "leg count", BadWeighting)
+    if genus < 0 or n_legs < 0 or 2 * genus - 2 + n_legs <= 0:
+        raise UnstableSignature(
+            f"no stable graph with genus {genus} and {n_legs} legs"
+        )
+    return genus, n_legs
+
+
 def new_graph(
     vertices: Iterable[tuple[int, int]],
     edges: Iterable[tuple[int, int]] = (),
@@ -433,10 +423,9 @@ def caterpillar(n: int) -> MarkedGraph:
     """The trivalent tree with n >= 3 legs along a spine.
 
     Spine vertices 0..n-3; legs 1, 2 at one end, n-1, n at the other, one
-    leg per middle vertex in order.
+    leg per middle vertex in order.  BadWeighting if n is not an integer.
     """
-    if n < 3:
-        raise UnstableSignature(f"caterpillar needs at least 3 legs, got {n}")
+    _, n = _check_signature(0, n)
     s = n - 2
     verts = [(i, 0) for i in range(s)]
     edges = [(i, i + 1) for i in range(s - 1)]

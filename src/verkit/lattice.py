@@ -153,6 +153,8 @@ class LevelledWeighting:
 def _integer(value, what: str) -> int:
     """value as an int; BadWeighting for a boolean, a float or any other
     value that is not an integer."""
+    if type(value) is int:  # the common case, without the call below
+        return value
     return _read_integer(value, what, BadWeighting)
 
 
@@ -181,18 +183,21 @@ def _leg_vector(graph: MarkedGraph, leaf_weights) -> tuple[int, ...]:
 def is_point(graph: MarkedGraph, w: LevelledWeighting) -> bool:
     """Does the weighting satisfy every vertex condition at its level?
 
-    BadWeighting if a weight or the level is not an integer."""
+    Every slot sits at a vertex, whose condition also bounds its weight to
+    0..level.  GraphMismatch if the weighting is on another graph or has
+    the wrong number of edge or leg weights, BadWeighting if a weight or
+    the level is not an integer."""
     require_trivalent(graph)
     if w.graph != graph:
         raise GraphMismatch("weighting lives on a different graph")
+    if (len(w.edge_weights), len(w.leg_weights)) != (
+        len(graph.edges), graph.n_legs
+    ):
+        raise GraphMismatch("weighting has the wrong number of weights")
     L = _integer(w.level, "level")
-    if L < 0:
-        return False
     values = tuple(
         _integer(x, "weight") for x in w.edge_weights + w.leg_weights
     )
-    if any(x < 0 or x > L for x in values):
-        return False
     return all(
         admissible_triple_level(values[i], values[j], values[k], L)
         for i, j, k in graph.slots_at.values()

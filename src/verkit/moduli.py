@@ -20,14 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import UnstableSignature
 from .graphs import (
     MarkedGraph,
+    _check_signature,
     new_graph,
     require_trivalent,
     trinode,
 )
-from .lattice import _integer
 
 
 @dataclass(frozen=True)
@@ -60,29 +59,14 @@ class StratumComplex:
     def to_json(self) -> dict:
         return {
             "classes": [
-                {
-                    "label": g.canonical_hex(),
-                    "graph": g.to_json(),
-                    "dim": len(g.edges) + g.n_legs,
-                }
-                for g in self.classes
+                {"label": g.canonical_hex(), "graph": g.to_json(), "dim": dim}
+                for g, dim in zip(self.classes, self.cone_dims)
             ],
             "hasse": [[i, j] for i, j in self.hasse],
             "flips": [
                 [i, j, {"witness": w.hex()}] for i, j, w in self.flips
             ],
         }
-
-
-def _check_signature(genus: int, n_legs: int) -> tuple[int, int]:
-    """The signature as ints; BadWeighting for a genus or leg count that is
-    not an integer, UnstableSignature for a signature with no stable graph."""
-    genus, n_legs = _integer(genus, "genus"), _integer(n_legs, "leg count")
-    if genus < 0 or n_legs < 0 or 2 * genus - 2 + n_legs <= 0:
-        raise UnstableSignature(
-            f"no stable graph with genus {genus} and {n_legs} legs"
-        )
-    return genus, n_legs
 
 
 def _insert_leg(graph: MarkedGraph, slot: int, new_label: int) -> MarkedGraph:
@@ -139,7 +123,6 @@ def _stable_closure(
 ) -> tuple[tuple[MarkedGraph, ...], set[tuple[bytes, bytes]]]:
     """The stable classes sorted by label, and the (label, label) pairs of
     the single contractions found while closing over them."""
-    _check_signature(genus, n_legs)
     found = {g.canonical_label: g for g in enumerate_trivalent(genus, n_legs)}
     queue = list(found.values())
     hasse = set()
@@ -260,39 +243,28 @@ def flip_connectivity(genus: int, n_legs: int) -> tuple[bool, int]:
     Returns (False, -1) when disconnected; a single class gives (True, 0).
     """
     comp = flip_complex(genus, n_legs)
-    k = len(comp.classes)
-    adj: dict[int, set[int]] = {i: set() for i in range(k)}
-    for i, j, _ in comp.flips:
-        adj[i].add(j)
-        adj[j].add(i)
+    adj: list[list[int]] = [[] for _ in comp.classes]
+    for i, j, _ in comp.flips:  # holds every flip in both directions
+        adj[i].append(j)
 
-    def bfs(start: int) -> dict[int, int]:
-        dist = {start: 0}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in adj[x]:
-                    if y not in dist:
-                        dist[y] = dist[x] + 1
-                        nxt.append(y)
-            frontier = nxt
-        return dist
+    def reach(start: int) -> tuple[int, int]:
+        """The number of classes reached from start, and its eccentricity."""
+        seen, frontier, depth = {start}, {start}, 0
+        while frontier := {j for i in frontier for j in adj[i]} - seen:
+            seen |= frontier
+            depth += 1
+        return len(seen), depth
 
-    first = bfs(0)
-    if len(first) != k:
+    reached, diameter = reach(0)
+    if reached != len(adj):
         return False, -1
-    diameter = 0
-    for i in range(k):
-        diameter = max(diameter, max(bfs(i).values()))
-    return True, diameter
+    return True, max([diameter] + [reach(i)[1] for i in range(1, len(adj))])
 
 
 def hasse_dot(comp: StratumComplex, name: str = "H") -> str:
     """Graphviz digraph of the contraction Hasse diagram."""
     lines = [f"digraph {name} {{"]
-    for i, g in enumerate(comp.classes):
-        dim = len(g.edges) + g.n_legs
+    for i, dim in enumerate(comp.cone_dims):
         lines.append(f'  c{i} [label="{i}: dim {dim}"];')
     for i, j in comp.hasse:
         lines.append(f"  c{i} -> c{j};")

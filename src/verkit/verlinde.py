@@ -23,9 +23,10 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import NumericalResidual, UnstableSignature
+from .errors import NumericalResidual
 from .graphs import (
     MarkedGraph,
+    _check_signature,
     caterpillar,
     dumbbell,
     loop_with_leg,
@@ -40,25 +41,35 @@ from .lattice import (
 
 
 def fusion_coeff(a: int, b: int, c: int, level: int) -> int:
-    """Multiplicity (0 or 1) of the level-truncated sl2 fusion product."""
-    return 1 if admissible_triple_level(a, b, c, level) else 0
+    """Multiplicity (0 or 1) of the level-truncated sl2 fusion product.
+
+    BadWeighting if a weight or the level is not an integer."""
+    return 1 if admissible_triple_level(
+        _integer(a, "weight"),
+        _integer(b, "weight"),
+        _integer(c, "weight"),
+        _integer(level, "level"),
+    ) else 0
 
 
-@lru_cache(maxsize=256)
 def standard_graph(genus: int, n_legs: int) -> MarkedGraph:
     """A fixed trivalent genus-0-vertex graph of the given signature.
 
     Memoised, so repeated queries of a signature share one graph and with
-    it one compiled contraction plan.
+    it one compiled contraction plan.  BadWeighting for a genus or leg
+    count that is not an integer, UnstableSignature below stability.
 
     The caterpillar with n + g legs, whose legs above n are each replaced
     by an edge to a pendant vertex with a loop: the n legs first and then
     one loop per unit of genus.  With n + g = 2 there is no spine, and the
     graph is the loop with a leg (1,1) or the dumbbell (2,0).
     """
-    g, n = genus, n_legs
-    if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
-        raise UnstableSignature(f"no trivalent graph for genus {g}, {n} legs")
+    # read as ints first, so that True or 1.0 cannot hit the int entry
+    return _standard_graph(*_check_signature(genus, n_legs))
+
+
+@lru_cache(maxsize=256)
+def _standard_graph(g: int, n: int) -> MarkedGraph:
     p = n + g  # pendant count: legs then loops
     if p == 2:
         # no spine vertices: either a loop with a leg or two joined loops
@@ -79,13 +90,12 @@ def _normalize(genus: int, leaf_weights, level: int):
     if leaf_weights is None:
         leaf_weights = ()
     r = tuple(_integer(x, "leaf weight") for x in leaf_weights)
-    if _integer(genus, "genus") < 0:
-        raise UnstableSignature(f"negative genus {genus}")
-    if genus == 0:
+    if _integer(genus, "genus") == 0:
         while len(r) < 3:
             r = r + (0,)
     elif not r:
         r = (0,)
+    _check_signature(genus, len(r))  # only a negative genus is left to fail
     return r, _integer(level, "level")
 
 
@@ -156,7 +166,11 @@ def verlinde_closed_form(genus: int, leaf_weights, level: int) -> int:
 
 
 def factorization_4point(r1: int, r2: int, r3: int, r4: int, level: int) -> int:
-    """Sum over the middle weight of products of two fusion coefficients."""
+    """Sum over the middle weight of products of two fusion coefficients.
+
+    BadWeighting if a weight or the level is not an integer."""
+    r1, r2, r3, r4 = (_integer(r, "weight") for r in (r1, r2, r3, r4))
+    level = _integer(level, "level")
     return sum(
         fusion_coeff(r1, r2, m, level) * fusion_coeff(m, r3, r4, level)
         for m in range(level + 1)

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from verkit import caterpillar, dumbbell, moduli, theta_graph, trinode
+from verkit import caterpillar, cli, dumbbell, moduli, theta_graph, trinode
 from verkit.cli import build_parser, main
 from verkit.errors import NumericalResidual
 
@@ -35,6 +35,18 @@ def test_verlinde_all_methods_agree(capsys):
     )
     assert code == 0
     assert capsys.readouterr().out == "8\n8\n8\n"
+
+
+def test_verlinde_disagreement_exits_one(monkeypatch, capsys):
+    closed_form = cli.verlinde_closed_form
+    monkeypatch.setattr(cli, "verlinde_closed_form",
+                        lambda *args: closed_form(*args) + 1)
+    code = main(["verlinde", "--genus", "0", "--weights", "1,1,1,1",
+                 "--level", "2", "--method", "all"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "2\n3\n2\n"
+    assert "methods disagree" in captured.err
 
 
 def test_verlinde_parity_zero(capsys):
@@ -146,11 +158,20 @@ def test_hilbert_projective(trinode_file, capsys):
     assert capsys.readouterr().out == "1\n0\n1\n0\n1\n"
 
 
-def test_hilbert_projective_requires_base(trinode_file, capsys):
+def test_hilbert_projective_requires_base(trinode_file, tmp_path, capsys):
     code = main(["hilbert", "--graph", trinode_file, "--grading", "projective",
                  "--max", "4"])
     assert code == 2
-    assert "--base-weights" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "--base-weights" in captured.err
+    assert "error [BadWeighting]" in captured.err
+    assert captured.out == ""
+    # the arguments are checked before the graph file is opened
+    missing = str(tmp_path / "missing.json")
+    code = main(["hilbert", "--graph", missing, "--grading", "projective",
+                 "--max", "4"])
+    assert code == 2
+    assert "error [BadWeighting]" in capsys.readouterr().err
 
 
 def test_gorenstein_cli(trinode_file, capsys):

@@ -96,6 +96,13 @@ def test_is_point_validation():
     for legs, level in [((True, 1, 0), 1), ((1, 1, 0), True), ((1.0, 1, 0), 1)]:
         with pytest.raises(BadWeighting):
             is_point(t, LevelledWeighting(t, (), legs, level))
+    # a weighting of the wrong length is not read as a shorter or longer one
+    cat = caterpillar(4)
+    for w in [LevelledWeighting(t, (), (1, 1, 0, 0), 1),
+              LevelledWeighting(cat, (2,), (1, 1, 1), 2),
+              LevelledWeighting(cat, (), (1, 1, 1, 1), 2)]:
+        with pytest.raises(GraphMismatch):
+            is_point(w.graph, w)
 
 
 def test_count_points_frozen_examples():

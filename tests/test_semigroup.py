@@ -196,6 +196,27 @@ def test_degree_one_generation_trinode():
         assert acc == w
 
 
+def test_degree_one_generation_refuses_a_missing_generator(monkeypatch):
+    t = trinode()
+    missing = LevelledWeighting(t, (), (1, 1, 0), 1)
+    walk, levels = semigroup._all_points, []
+
+    def walk_without_one_generator(graph, level):
+        # the first walk, at level 1, lists the generators
+        levels.append(level)
+        points = walk(graph, level)
+        if len(levels) > 1:
+            return points
+        return (w for w in points if w != missing)
+
+    monkeypatch.setattr(semigroup, "_all_points", walk_without_one_generator)
+    with pytest.raises(CounterexampleFound) as info:
+        degree_one_generation_check(t, 3)
+    assert levels[:3] == [1, 0, 1]
+    assert info.value.point == missing
+    assert "no decomposition into 1 level-1 points" in str(info.value)
+
+
 def test_degree_one_generation_caterpillar():
     cat = caterpillar(4)
     holds, certs = degree_one_generation_check(cat, 3)

@@ -35,6 +35,17 @@ def test_fusion_coeff_is_admissibility_indicator():
     assert fusion_coeff(1, 1, 1, 9) == 0  # odd sum never fuses
 
 
+def test_fusion_routes_refuse_non_integers():
+    for args in [(1.5, 0.5, 1, 2), (True, 1, 0, 1), (1, 1, 0, 1.0)]:
+        with pytest.raises(BadWeighting):
+            fusion_coeff(*args)
+    for args in [(1.0, 1, 1, 1, 2), (1, 1, 1, 1, True), (1, 1, 1, 1, 2.5),
+                 (1, 1, 1.5, 1, -1)]:
+        with pytest.raises(BadWeighting):
+            factorization_4point(*args)
+    assert factorization_4point(np.int64(1), 1, 1, 1, np.int64(2)) == 2
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     a=st.integers(min_value=0, max_value=6),
@@ -101,12 +112,31 @@ def test_non_integer_weights_and_levels_are_refused(route):
         route(0.0, (1, 1, 1, 1), 2)
 
 
+def test_stock_sizes_are_read_as_integers():
+    # warm the int-keyed cache first: a truncating read would hit it
+    standard_graph(1, 1), standard_graph(2, 0), standard_graph(2, 5)
+    for g, n in [(True, 1), (1.5, 0), (2, "5"), ("2", 0), (2.0, 0)]:
+        with pytest.raises(BadWeighting):
+            standard_graph(g, n)
+    for n in [True, 4.0, 1.5, "5"]:
+        with pytest.raises(BadWeighting):
+            caterpillar(n)
+    with pytest.raises(UnstableSignature):
+        caterpillar(2)
+    assert standard_graph(np.int64(2), 0) is standard_graph(2, 0)
+    assert standard_graph(2, np.int64(5)) is standard_graph(2, 5)
+    assert caterpillar(np.int64(5)) == caterpillar(5)
+
+
 def test_standard_graph_rejects_unstable():
     for g, n in [(0, 0), (0, 2), (1, 0)]:
         with pytest.raises(UnstableSignature):
             standard_graph(g, n)
     with pytest.raises(UnstableSignature):
         verlinde(-1, (), 2)
+    for route in (verlinde_factor, verlinde_closed_form):
+        with pytest.raises(UnstableSignature):
+            route(-1, (1,), 2)
 
 
 def test_genus_one_count_is_level_plus_one():
