@@ -94,11 +94,15 @@ class MarkedGraph:
     def is_tree(self) -> bool:
         return self.first_betti == 0 and all(g == 0 for _, g in self.vertices)
 
+    def _not_trivalent(self) -> list[int]:
+        """The vertices that are not 3-valent with genus 0."""
+        return [
+            vid for vid, g in self.vertices if g != 0 or self.valence[vid] != 3
+        ]
+
     def is_trivalent(self) -> bool:
         """All vertices have valence exactly 3 and genus 0."""
-        return all(
-            self.valence[vid] == 3 and g == 0 for vid, g in self.vertices
-        )
+        return not self._not_trivalent()
 
     # -- structural operations ---------------------------------------------
 
@@ -283,12 +287,17 @@ def _integer(
         raise error(f"{what} {value!r} is not an integer") from None
 
 
+def _is_stable(genus: int, n_legs: int) -> bool:
+    """Does the (genus, legs) signature have a stable graph?"""
+    return genus >= 0 and n_legs >= 0 and 2 * genus - 2 + n_legs > 0
+
+
 def _check_signature(genus: int, n_legs: int) -> tuple[int, int]:
     """The signature as ints; BadWeighting for a genus or leg count that is
     not an integer, UnstableSignature for a signature with no stable graph."""
     genus = _integer(genus, "genus", BadWeighting)
     n_legs = _integer(n_legs, "leg count", BadWeighting)
-    if genus < 0 or n_legs < 0 or 2 * genus - 2 + n_legs <= 0:
+    if not _is_stable(genus, n_legs):
         raise UnstableSignature(
             f"no stable graph with genus {genus} and {n_legs} legs"
         )
@@ -390,12 +399,8 @@ def are_isomorphic(g1: MarkedGraph, g2: MarkedGraph) -> bool:
 
 def require_trivalent(graph: MarkedGraph) -> None:
     """Raise NonTrivalentGraph unless every vertex is 3-valent with genus 0."""
-    if not graph.is_trivalent():
-        bad = [
-            vid
-            for vid, g in graph.vertices
-            if g != 0 or graph.valence[vid] != 3
-        ]
+    bad = graph._not_trivalent()
+    if bad:
         raise NonTrivalentGraph(
             f"need a trivalent graph with genus-0 vertices; offending "
             f"vertices: {bad}"

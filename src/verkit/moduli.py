@@ -13,6 +13,14 @@ reaches every class).  Only where insertion cannot reach, at n = 0 and at
 (1,1), do they come from gluing the top two legs of the (g-1, n+2) classes
 (cutting any cycle edge inverts this).  Canonical labels dedup everything;
 output is sorted by label, so ordering is stable across runs.
+
+Each signature's trivalent classes, stable closure (classes and Hasse
+pairs) and flip set are computed once per process and kept for its life,
+as immutable values that every later question about the signature reads.
+That saves work only when one process asks about a signature more than
+once (say `contraction_poset` and then `flip_connectivity`); a first
+question does the same work as without the caches.  The CLI asks once per
+process.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from functools import lru_cache
 from .graphs import (
     MarkedGraph,
     _check_signature,
+    _is_stable,
     new_graph,
     require_trivalent,
     trinode,
@@ -106,7 +115,7 @@ def _trivalent(genus: int, n_legs: int) -> tuple[MarkedGraph, ...]:
     if (genus, n_legs) == (0, 3):
         return (trinode(),)
     found: dict[bytes, MarkedGraph] = {}
-    if n_legs > 0 and 2 * genus - 2 + (n_legs - 1) > 0:
+    if _is_stable(genus, n_legs - 1):
         for g in _trivalent(genus, n_legs - 1):
             for slot in range(len(g.edges) + g.n_legs):
                 cand = _insert_leg(g, slot, n_legs)
@@ -118,12 +127,13 @@ def _trivalent(genus: int, n_legs: int) -> tuple[MarkedGraph, ...]:
     return tuple(found[k] for k in sorted(found))
 
 
+@lru_cache(maxsize=None)
 def _stable_closure(
     genus: int, n_legs: int
-) -> tuple[tuple[MarkedGraph, ...], set[tuple[bytes, bytes]]]:
-    """The stable classes sorted by label, and the (label, label) pairs of
-    the single contractions found while closing over them."""
-    found = {g.canonical_label: g for g in enumerate_trivalent(genus, n_legs)}
+) -> tuple[tuple[MarkedGraph, ...], frozenset[tuple[bytes, bytes]]]:
+    """The stable classes sorted by label, and the frozenset of (label,
+    label) pairs of the single contractions found while closing over them."""
+    found = {g.canonical_label: g for g in _trivalent(genus, n_legs)}
     queue = list(found.values())
     hasse = set()
     while queue:
@@ -134,13 +144,13 @@ def _stable_closure(
             if c.canonical_label not in found:
                 found[c.canonical_label] = c
                 queue.append(c)
-    return tuple(found[k] for k in sorted(found)), hasse
+    return tuple(found[k] for k in sorted(found)), frozenset(hasse)
 
 
 def enumerate_stable(genus: int, n_legs: int) -> tuple[MarkedGraph, ...]:
     """All stable classes of the signature: the contraction closure of the
     trivalent ones (every stable graph smooths out to a trivalent one)."""
-    return _stable_closure(genus, n_legs)[0]
+    return _stable_closure(*_check_signature(genus, n_legs))[0]
 
 
 def _expansions(graph: MarkedGraph, e: int):
@@ -208,33 +218,45 @@ def flip_neighbors(graph: MarkedGraph) -> tuple[FlipMove, ...]:
     return tuple(moves[k] for k in sorted(moves))
 
 
-def _flips(
-    classes: tuple[MarkedGraph, ...]
-) -> tuple[tuple[int, int, bytes], ...]:
-    """(i, j, ancestor label) for every flip between trivalent classes."""
+@lru_cache(maxsize=None)
+def _trivalent_flips(
+    genus: int, n_legs: int
+) -> frozenset[tuple[bytes, bytes, bytes]]:
+    """(label, neighbour label, ancestor label) for every flip between the
+    trivalent classes of the signature."""
+    return frozenset(
+        (g.canonical_label, mv.neighbor.canonical_label,
+         mv.ancestor.canonical_label)
+        for g in _trivalent(genus, n_legs)
+        for mv in flip_neighbors(g)
+    )
+
+
+def _complex(
+    classes: tuple[MarkedGraph, ...],
+    pairs: frozenset[tuple[bytes, bytes]],
+    signature: tuple[int, int],
+) -> StratumComplex:
+    """The Hasse pairs and the signature's flips as indices into classes."""
     index = {g.canonical_label: i for i, g in enumerate(classes)}
-    flips = set()
-    for i, g in enumerate(classes):
-        if g.is_trivalent():
-            for mv in flip_neighbors(g):
-                j = index[mv.neighbor.canonical_label]
-                flips.add((i, j, mv.ancestor.canonical_label))
-    return tuple(sorted(flips))
+    hasse = sorted((index[a], index[b]) for a, b in pairs)
+    flips = sorted(
+        (index[a], index[b], w) for a, b, w in _trivalent_flips(*signature)
+    )
+    return StratumComplex(classes, tuple(hasse), tuple(flips))
 
 
 def contraction_poset(genus: int, n_legs: int) -> StratumComplex:
     """Hasse diagram of single contractions on all stable classes, plus
     flip adjacency among the trivalent ones."""
-    classes, pairs = _stable_closure(genus, n_legs)
-    index = {g.canonical_label: i for i, g in enumerate(classes)}
-    hasse = sorted((index[a], index[b]) for a, b in pairs)
-    return StratumComplex(classes, tuple(hasse), _flips(classes))
+    signature = _check_signature(genus, n_legs)
+    return _complex(*_stable_closure(*signature), signature)
 
 
 def flip_complex(genus: int, n_legs: int) -> StratumComplex:
     """Flip structure restricted to the trivalent classes only."""
-    classes = enumerate_trivalent(genus, n_legs)
-    return StratumComplex(classes, (), _flips(classes))
+    signature = _check_signature(genus, n_legs)
+    return _complex(_trivalent(*signature), frozenset(), signature)
 
 
 def flip_connectivity(genus: int, n_legs: int) -> tuple[bool, int]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -279,7 +280,9 @@ def test_stratum_complex_is_dataclass_value():
 
 def test_signature_arguments_are_integers():
     # Cache the int signatures first: equal floats and booleans must miss.
-    enumerate_trivalent(0, 5), enumerate_trivalent(1, 1)
+    for sig in [(0, 5), (1, 1)]:
+        enumerate_trivalent(*sig), enumerate_stable(*sig)
+        contraction_poset(*sig), flip_complex(*sig), flip_connectivity(*sig)
     for genus, n_legs in [(0, 5.0), (True, 1), (0, 5.5), (0, "4"), (1.0, 1)]:
         with pytest.raises(BadWeighting):
             enumerate_trivalent(genus, n_legs)
@@ -288,12 +291,16 @@ def test_signature_arguments_are_integers():
         with pytest.raises(BadWeighting):
             contraction_poset(genus, n_legs)
         with pytest.raises(BadWeighting):
+            flip_complex(genus, n_legs)
+        with pytest.raises(BadWeighting):
             flip_connectivity(genus, n_legs)
 
 
 def test_numpy_integer_signature_hits_the_cache():
     assert enumerate_trivalent(0, np.int64(7)) is enumerate_trivalent(0, 7)
     assert enumerate_trivalent(np.int8(1), 2) is enumerate_trivalent(1, 2)
+    assert enumerate_stable(0, np.int64(6)) is enumerate_stable(0, 6)
+    assert contraction_poset(0, 6).classes is enumerate_stable(0, 6)
 
 
 def test_labels_and_class_order_are_pinned():
@@ -310,4 +317,28 @@ def test_labels_and_class_order_are_pinned():
     assert len(labels) == 1463
     assert hashlib.sha256(b"\n".join(labels)).hexdigest() == (
         "96143711d46e75fe631417034520af0f1a714d98ffc0311d70415e7e65e733cf"
+    )
+
+
+def test_stratification_outputs_are_pinned():
+    """The posets, flip complexes and flip diameters of these signatures,
+    each asked twice so that the second answer may come from a cache, hash
+    to the digest they had when it was recorded; and the poset and the flip
+    complex of a signature hold the same flips."""
+    sigs = [(0, 4), (0, 5), (0, 6), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1),
+            (2, 2)]
+
+    def triples(comp):
+        label = [g.canonical_label for g in comp.classes]
+        return {(label[i], label[j], w) for i, j, w in comp.flips}
+
+    digest = hashlib.sha256()
+    for sig in sigs:
+        for _ in range(2):
+            poset, flips = contraction_poset(*sig), flip_complex(*sig)
+            doc = [poset.to_json(), flips.to_json(), flip_connectivity(*sig)]
+            digest.update(json.dumps(doc, sort_keys=True).encode())
+            assert triples(poset) == triples(flips)
+    assert digest.hexdigest() == (
+        "159de4608a8c7c2e66ddf7affb824af3fe177750a8af581a2eb08d0b14508933"
     )
