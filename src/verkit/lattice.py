@@ -20,10 +20,14 @@ vertex.  Tests pit them against each other.  :func:`count_points_bruteforce`,
 :func:`enumerate_points`, :func:`count_classical` and the semigroup checks
 all walk through it, so the VK_BRUTE_LIMIT work cap lives in one place.
 
-The contraction is exact.  Every entry of every factor counts assignments to
-at most width slots (the E edges, or E + n when the n legs are summed too),
-so it runs in int64 while (level + 1) ** width < 2^63, and on object arrays
-of Python ints past that bound.
+The contraction is exact, and each step runs in the narrowest dtype that
+keeps it so.  Every entry of a step's result, and every partial sum inside
+its tensordot, counts assignments to the k slots summed inside that result
+(its shared edges and loops, and its legs when they are summed too), so it
+is at most (level + 1) ** k.  A step runs in float64, an exact BLAS product
+of integers, while that bound is below 2^53; in int64 while it is below
+2^63; and on object arrays of Python ints past that.  Operands are only ever
+widened, float64 to int64 to object, so no float reaches an object array.
 """
 
 from __future__ import annotations
@@ -32,9 +36,10 @@ import itertools
 import json
 import os
 import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
@@ -208,7 +213,7 @@ def is_point(graph: MarkedGraph, w: LevelledWeighting) -> bool:
 
 
 def _compile(graph: MarkedGraph) -> tuple:
-    """The graph's contraction plan, (vertices, steps).
+    """The graph's contraction plan, (vertices, steps, bounds).
 
     vertices: per vertex in graph order, (has a loop, leg positions in
     label order); the vertex factor's axes are its non-loop edges in slot
@@ -216,17 +221,23 @@ def _compile(graph: MarkedGraph) -> tuple:
     order, which repeatedly contracts the first pair sharing an edge whose
     result has the fewest axes, as (i, j, axes_i, axes_j) with i < j
     indexing the live factor list: factors i and j leave it and their
-    tensordot over those axes is appended.
+    tensordot over those axes is appended.  bounds: per step, k, the number
+    of slots summed inside its result, as a tuple with fixed legs and one
+    with summed legs.  A shared edge, a loop (its diagonal sums one value)
+    and a summed leg each add 1; the last step sums every slot, so its k is
+    the largest.
     """
     require_trivalent(graph)
     ne = len(graph.edges)
-    vertices, live = [], []
+    vertices, live, ks = [], [], []
     for vid, _ in graph.vertices:
         slots = graph.slots_at[vid]
         loop = len(set(slots)) < len(slots)
-        vertices.append((loop, tuple(s - ne for s in slots if s >= ne)))
+        at = tuple(s - ne for s in slots if s >= ne)
+        vertices.append((loop, at))
         live.append([s for s in slots if s < ne and slots.count(s) == 1])
-    steps = []
+        ks.append((int(loop), int(loop) + len(at)))
+    steps, bounds = [], []
     while len(live) > 1:
         best = None
         for i in range(len(live)):
@@ -240,8 +251,8 @@ def _compile(graph: MarkedGraph) -> tuple:
         if best is None:
             raise AssertionError("tensor network disconnected")
         _, i, j, shared = best
-        aj = live.pop(j)
-        ai = live.pop(i)
+        aj, kj = live.pop(j), ks.pop(j)
+        ai, ki = live.pop(i), ks.pop(i)
         steps.append((
             i,
             j,
@@ -249,7 +260,10 @@ def _compile(graph: MarkedGraph) -> tuple:
             tuple(aj.index(a) for a in shared),
         ))
         live.append([a for a in ai + aj if a not in shared])
-    return tuple(vertices), tuple(steps)
+        ks.append(tuple(x + y + len(shared) for x, y in zip(ki, kj)))
+        bounds.append(ks[-1])
+    fixed, summed = (tuple(k[m] for k in bounds) for m in (0, 1))
+    return tuple(vertices), tuple(steps), (fixed, summed)
 
 
 _plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -265,14 +279,16 @@ def _plan(graph: MarkedGraph) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _kernels(level: int, dtype) -> tuple:
-    """Vertex factors at this level, in dtype.
+def _kernels(level: int) -> tuple:
+    """Vertex factors at this level, in float64.
 
     The 0/1 fusion tensor T[a, b, c] over 0..level is symmetric in its three
     slots, so a vertex factor depends only on whether the vertex has a loop
     and on its leg values.  Entry [loop][m] is T (no loop) or the loop
     diagonal D[x] = sum_a T[a, a, x] (loop), summed over its last m axes:
     the factor of a vertex with m open legs.  Fixed legs index [loop][0].
+    Every entry is at most (level + 1) ** 3, exact in float64 for any
+    level whose tensor fits in memory.
     """
     r = np.arange(level + 1)
     a, b, c = r[:, None, None], r[None, :, None], r[None, None, :]
@@ -282,7 +298,7 @@ def _kernels(level: int, dtype) -> tuple:
         & ((a + b + c) % 2 == 0)
         & (a + b + c <= 2 * level)
     )
-    t = ok.astype(np.int64).astype(dtype)
+    t = ok.astype(np.float64)
     out = []
     for k in (t, t[r, r].sum(axis=0)):
         sums = [k]
@@ -292,16 +308,33 @@ def _kernels(level: int, dtype) -> tuple:
     return tuple(out)
 
 
-def _contract(plan: tuple, level: int, legs, width: int) -> int:
+def _exact_dtype(bound: int):
+    """The narrowest dtype in which integers up to bound add exactly."""
+    if bound < 2**53:
+        return np.float64
+    return np.int64 if bound < 2**63 else object
+
+
+def _widen(x, dtype):
+    """x in dtype, by way of int64 when a float becomes an object array,
+    so that the array holds Python ints."""
+    if x.dtype == dtype:
+        return x
+    if dtype is object and x.dtype == np.float64:
+        x = x.astype(np.int64)
+    return x.astype(dtype)
+
+
+def _contract(plan: tuple, level: int, legs) -> int:
     """Sum the product of the vertex factors over every edge, along the plan.
 
     legs: fixed leg values in label order, or None to sum the legs too.
-    width: the number of slots summed over, so (level + 1) ** width bounds
-    every entry and picks int64 or object arrays (see the module docstring).
+    Each step runs in the narrowest exact dtype for (level + 1) ** k, k its
+    bound from the plan (see the module docstring); when the last, largest
+    bound is below 2^53 every step runs in float64 and none picks a dtype.
     """
-    vertices, steps = plan
-    dtype = np.int64 if (level + 1) ** width < 2**63 else object
-    kernels = _kernels(level, dtype)
+    vertices, steps, bounds = plan
+    kernels = _kernels(level)
     if legs is None:
         live = [kernels[loop][len(at)] for loop, at in vertices]
     else:
@@ -309,9 +342,14 @@ def _contract(plan: tuple, level: int, legs, width: int) -> int:
             kernels[loop][0][(..., *[legs[p] for p in at])]
             for loop, at in vertices
         ]
-    for i, j, axes_i, axes_j in steps:
+    ks = bounds[legs is None]
+    wide = ks and (level + 1) ** ks[-1] >= 2**53
+    for n, (i, j, axes_i, axes_j) in enumerate(steps):
         b = live.pop(j)
         a = live.pop(i)
+        if wide:
+            dtype = _exact_dtype((level + 1) ** ks[n])
+            a, b = _widen(a, dtype), _widen(b, dtype)
         live.append(np.tensordot(a, b, axes=(axes_i, axes_j)))
     return int(live[0])
 
@@ -320,17 +358,18 @@ def count_points(graph: MarkedGraph, leaf_weights, level: int) -> int:
     """Number of admissible weightings with the given leg values.
 
     Exact tensor contraction over the internal edges along the graph's
-    compiled plan: int64 while (level + 1) ** E < 2^63, E the number of
-    edges, and object arrays of Python ints past that bound.  Leg values
-    outside 0..level make the count 0.  A weight or level that is not an
-    integer raises BadWeighting.
+    compiled plan.  A step whose result sums k slots runs in float64 while
+    (level + 1) ** k < 2^53, in int64 while it is below 2^63, and on object
+    arrays of Python ints past that; k is at most E, the number of edges.
+    Leg values outside 0..level make the count 0.  A weight or level that
+    is not an integer raises BadWeighting.
     """
     plan = _plan(graph)
     legs = _leg_vector(graph, leaf_weights)
     level = _integer(level, "level")
     if level < 0 or any(w < 0 or w > level for w in legs):
         return 0
-    return _contract(plan, level, legs, len(graph.edges))
+    return _contract(plan, level, legs)
 
 
 # -- the literal oracle ----------------------------------------------------
@@ -416,11 +455,12 @@ def count_cox(graph: MarkedGraph, level: int) -> int:
 
     Summing leg values over 0..level turns the count into the dimension of
     the degree-level piece of the total coordinate ring grading.  The
-    contraction runs in int64 while (level + 1) ** (E + n) < 2^63, with E
-    edges and n legs, and on object arrays past that bound.
+    contraction picks each step's dtype as count_points does, with every
+    summed leg adding 1 to the k of the step that contains it, so k is at
+    most E + n with E edges and n legs.
     """
     plan = _plan(graph)
     level = _integer(level, "level")
     if level < 0:
         return 0
-    return _contract(plan, level, None, len(graph.edges) + graph.n_legs)
+    return _contract(plan, level, None)

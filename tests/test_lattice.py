@@ -384,33 +384,104 @@ def test_factorization_shape_of_caterpillar_count():
             assert direct == bysum
 
 
-def test_int64_and_object_contractions_agree_at_the_bound(monkeypatch):
-    # caterpillar(34) has 31 edges, 4^31 < 2^63: int64 at level 3;
-    # caterpillar(35) has 32, 4^32 >= 2^63: object arrays.
-    dtypes = []
+def _spy_dtypes(monkeypatch) -> list:
+    """Record every tensordot result's dtype and largest entry."""
+    seen = []
     tensordot = np.tensordot
 
     def spy(a, b, axes):
         out = tensordot(a, b, axes=axes)
-        dtypes.append(out.dtype)
+        seen.append((out.dtype, int(np.max(out))))
         return out
 
     monkeypatch.setattr(lattice.np, "tensordot", spy)
+    return seen
+
+
+def _assert_narrowest(seen, graph, level, legs_summed=False):
+    """Each step ran in the narrowest exact dtype for its (level+1)**k, k
+    from the plan; the last step sums every slot, and no entry passed its
+    step's bound."""
+    ks = lattice._plan(graph)[2][legs_summed]
+    assert ks[-1] == len(graph.edges) + legs_summed * graph.n_legs
+    assert len(seen) == len(ks)
+    for (dtype, top), k in zip(seen, ks):
+        bound = (level + 1) ** k
+        want = np.float64 if bound < 2**53 else np.int64 if bound < 2**63 else object
+        assert dtype == np.dtype(want)
+        assert top <= bound
+    seen.clear()
+
+
+def _glued(graph, r, level, seen):
+    """The count on trinode glued to graph at its first leg: the sum over
+    the middle weight m of the two counts.  Checks the dtypes of each of
+    graph's contractions (the trinode has no step)."""
+    total = 0
+    for m in range(level + 1):
+        total += count_points(trinode(), (r[0], r[1], m), level) * count_points(
+            graph, (m,) + r[2:], level
+        )
+        _assert_narrowest(seen, graph, level)
+    return total
+
+
+def test_int64_and_object_contractions_agree_at_the_bound(monkeypatch):
+    # caterpillar(35) has 32 edges at level 3: its steps run in float64
+    # while 4^k < 2^53, int64 while 4^k < 2^63, and object for k = 32.
+    seen = _spy_dtypes(monkeypatch)
     cat34, cat35 = caterpillar(34), caterpillar(35)
     for r, want in [((1,) * 34 + (2,), 5702887), ((3, 1) * 17 + (2,), 1597)]:
-        dtypes.clear()
         whole = count_points(cat35, r, 3)
-        assert set(dtypes) == {np.dtype(object)}
-        dtypes.clear()
-        glued = sum(
-            count_points(trinode(), (r[0], r[1], m), 3)
-            * count_points(cat34, (m,) + r[2:], 3)
-            for m in range(4)
-        )
-        assert set(dtypes) == {np.dtype(np.int64)}
+        assert {d for d, _ in seen} == {
+            np.dtype(np.float64), np.dtype(np.int64), np.dtype(object)
+        }
+        _assert_narrowest(seen, cat35, 3)
+        glued = _glued(cat34, r, 3, seen)
         assert whole == glued == want
         assert verlinde_closed_form(0, r, 3) == want
-    dtypes.clear()
-    # legs summed too: width 15 + 18 = 33 is past the bound
+    # legs summed too: 15 edges + 18 legs = 33 slots in the last step
     assert count_cox(caterpillar(18), 3) == 1209462292480
-    assert set(dtypes) == {np.dtype(object)}
+    _assert_narrowest(seen, caterpillar(18), 3, legs_summed=True)
+
+
+def test_float64_path_is_exact_up_to_2_53(monkeypatch):
+    # At level 3, caterpillar(29) has 26 edges and 4^26 < 2^53, so every
+    # step runs in float64; caterpillar(30) has 27 and its last steps do
+    # not.  At level 1 the bound meets 2^53 itself: 53 edges need int64.
+    f, i = np.dtype(np.float64), np.dtype(np.int64)
+    seen = _spy_dtypes(monkeypatch)
+    for n, L, kinds, weights in [
+        (29, 3, {f}, [(1,) * 28 + (2,), (3, 1) * 14 + (2,)]),
+        (30, 3, {f, i}, [(1,) * 30, (3, 1) * 15]),
+        (55, 1, {f}, [(1,) * 54 + (0,)]),
+        (56, 1, {f, i}, [(1,) * 56]),
+    ]:
+        small, big = caterpillar(n - 1), caterpillar(n)
+        for r in weights:
+            whole = count_points(big, r, L)
+            assert {d for d, _ in seen} == kinds
+            _assert_narrowest(seen, big, L)
+            assert whole == _glued(small, r, L, seen)
+            assert whole == verlinde_closed_form(0, r, L) > 0
+
+
+def _closed(edges):
+    return new_graph(sorted({(v, 0) for e in edges for v in e}), edges, [])
+
+
+def test_blas_counts_on_wide_closed_graphs(monkeypatch):
+    # Entries of up to nine digits, all in float64 BLAS products; the
+    # closed form certifies them independently.
+    seen = _spy_dtypes(monkeypatch)
+    k33 = _closed([(a, b) for a in range(3) for b in range(3, 6)])
+    cube = _closed([(a, b) for a in range(8) for b in range(a + 1, 8)
+                    if bin(a ^ b).count("1") == 1])
+    for graph, genus, levels in [(k33, 4, range(10, 15)), (cube, 5, range(9, 13))]:
+        assert graph.signature() == (genus, 0)
+        for L in levels:
+            assert count_points(graph, (), L) == verlinde_closed_form(genus, (), L)
+            assert {d for d, _ in seen} == {np.dtype(np.float64)}
+            _assert_narrowest(seen, graph, L)
+    assert count_points(cube, (), 12) == 802918753
+    assert count_points(k33, (), 14) == 18948608

@@ -194,6 +194,14 @@ def test_closed_form_residual_guard_can_fire():
     assert exc.value.bound >= 0.5
 
 
+def test_tensor_route_is_exact_past_2_63():
+    # its steps run in float64, int64 and object arrays in turn; a Python
+    # float carried into an object array would round the value as the
+    # double above does
+    value = verlinde(10, (), 20)
+    assert type(value) is int and value == 8223616530000314094021931
+
+
 @pytest.mark.parametrize("genus, level", [(400, 5), (400, 40), (2000, 3)])
 def test_closed_form_refuses_outside_double_range(genus, level):
     with pytest.raises(NumericalResidual):
