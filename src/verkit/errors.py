@@ -59,8 +59,7 @@ class InstanceTooLarge(VerkitError):
 
 
 class BadWorkLimit(VerkitError):
-    """The VK_BRUTE_LIMIT environment variable is set but is not an
-    integer."""
+    """VK_BRUTE_LIMIT is set, but not to an integer >= 0."""
 
 
 class BadWeighting(VerkitError):

@@ -385,7 +385,7 @@ def new_graph(
         )
 
     for vid, genus in verts:
-        if 2 * genus - 2 + valence[vid] <= 0:
+        if not _is_stable(genus, valence[vid]):
             raise UnstableVertex(
                 f"vertex {vid}: genus {genus}, valence {valence[vid]}"
             )

@@ -51,16 +51,17 @@ DEFAULT_BRUTE_LIMIT = 10**8
 
 
 def brute_limit() -> int:
-    """Work cap for literal enumerations, from VK_BRUTE_LIMIT if set."""
+    """Work cap for literal enumerations: VK_BRUTE_LIMIT if set, int >= 0."""
     raw = os.environ.get("VK_BRUTE_LIMIT")
     if raw is None:
         return DEFAULT_BRUTE_LIMIT
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError:
-        raise BadWorkLimit(
-            f"VK_BRUTE_LIMIT={raw!r} is not an integer"
-        ) from None
+        limit = -1  # refused below, with the same message
+    if limit < 0:
+        raise BadWorkLimit(f"VK_BRUTE_LIMIT={raw!r} is not an integer >= 0")
+    return limit
 
 
 # -- admissibility --------------------------------------------------------
@@ -102,14 +103,22 @@ class LevelledWeighting:
     def __add__(self, other: "LevelledWeighting") -> "LevelledWeighting":
         if not isinstance(other, LevelledWeighting):
             return NotImplemented
-        if other.graph != self.graph:
-            raise GraphMismatch("cannot add weightings on different graphs")
+        for w in (self, other):
+            w._require_on(self.graph)
         return LevelledWeighting(
             self.graph,
             tuple(x + y for x, y in zip(self.edge_weights, other.edge_weights)),
             tuple(x + y for x, y in zip(self.leg_weights, other.leg_weights)),
             self.level + other.level,
         )
+
+    def _require_on(self, graph: MarkedGraph) -> None:
+        """GraphMismatch unless this weights each edge and leg of graph."""
+        if self.graph != graph:
+            raise GraphMismatch("weighting lives on a different graph")
+        shape = len(graph.edges), graph.n_legs
+        if (len(self.edge_weights), len(self.leg_weights)) != shape:
+            raise GraphMismatch("weighting has the wrong number of weights")
 
     def scaled(self, k: int) -> "LevelledWeighting":
         return LevelledWeighting(
@@ -193,12 +202,7 @@ def is_point(graph: MarkedGraph, w: LevelledWeighting) -> bool:
     the wrong number of edge or leg weights, BadWeighting if a weight or
     the level is not an integer."""
     require_trivalent(graph)
-    if w.graph != graph:
-        raise GraphMismatch("weighting lives on a different graph")
-    if (len(w.edge_weights), len(w.leg_weights)) != (
-        len(graph.edges), graph.n_legs
-    ):
-        raise GraphMismatch("weighting has the wrong number of weights")
+    w._require_on(graph)
     L = _integer(w.level, "level")
     values = tuple(
         _integer(x, "weight") for x in w.edge_weights + w.leg_weights

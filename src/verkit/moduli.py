@@ -14,13 +14,12 @@ reaches every class).  Only where insertion cannot reach, at n = 0 and at
 (cutting any cycle edge inverts this).  Canonical labels dedup everything;
 output is sorted by label, so ordering is stable across runs.
 
-Each signature's trivalent classes, stable closure (classes and Hasse
-pairs) and flip set are computed once per process and kept for its life,
-as immutable values that every later question about the signature reads.
-That saves work only when one process asks about a signature more than
-once (say `contraction_poset` and then `flip_connectivity`); a first
-question does the same work as without the caches.  The CLI asks once per
-process.
+Each signature's trivalent classes and stable closure (classes and Hasse
+pairs) are computed once per process and kept for its life; that saves
+work only when a process asks about a signature more than once (say
+`enumerate_stable`, then `contraction_poset`), and the CLI asks once.
+Flip sets are read off the single contractions on every call and never
+kept.
 """
 
 from __future__ import annotations
@@ -218,45 +217,42 @@ def flip_neighbors(graph: MarkedGraph) -> tuple[FlipMove, ...]:
     return tuple(moves[k] for k in sorted(moves))
 
 
-@lru_cache(maxsize=None)
-def _trivalent_flips(
-    genus: int, n_legs: int
-) -> frozenset[tuple[bytes, bytes, bytes]]:
-    """(label, neighbour label, ancestor label) for every flip between the
-    trivalent classes of the signature."""
-    return frozenset(
-        (g.canonical_label, mv.neighbor.canonical_label,
-         mv.ancestor.canonical_label)
-        for g in _trivalent(genus, n_legs)
-        for mv in flip_neighbors(g)
-    )
-
-
 def _complex(
     classes: tuple[MarkedGraph, ...],
     pairs: frozenset[tuple[bytes, bytes]],
-    signature: tuple[int, int],
+    trivalent: tuple[MarkedGraph, ...],
+    hasse: bool,
 ) -> StratumComplex:
-    """The Hasse pairs and the signature's flips as indices into classes."""
+    """The flips among the trivalent classes, and the Hasse pairs if asked,
+    as indices into classes.  Two trivalent classes flip when one edge of
+    each contracts to a common ancestor; pairs holds every such contraction.
+    Loops need no filter: a contracted loop leaves a genus-1 vertex of
+    valence 1, and only one trivalent class smooths out to it."""
     index = {g.canonical_label: i for i, g in enumerate(classes)}
-    hasse = sorted((index[a], index[b]) for a, b in pairs)
-    flips = sorted(
-        (index[a], index[b], w) for a, b, w in _trivalent_flips(*signature)
-    )
-    return StratumComplex(classes, tuple(hasse), tuple(flips))
+    sources = {g.canonical_label for g in trivalent}
+    groups: dict[bytes, list[int]] = {}
+    for a, c in pairs:
+        if a in sources:
+            groups.setdefault(c, []).append(index[a])
+    flips = sorted((i, j, c) for c, group in groups.items()
+                   for i in group for j in group if i != j)
+    edges = sorted((index[a], index[b]) for a, b in pairs) if hasse else []
+    return StratumComplex(classes, tuple(edges), tuple(flips))
 
 
 def contraction_poset(genus: int, n_legs: int) -> StratumComplex:
     """Hasse diagram of single contractions on all stable classes, plus
     flip adjacency among the trivalent ones."""
     signature = _check_signature(genus, n_legs)
-    return _complex(*_stable_closure(*signature), signature)
+    return _complex(*_stable_closure(*signature), _trivalent(*signature), True)
 
 
 def flip_complex(genus: int, n_legs: int) -> StratumComplex:
     """Flip structure restricted to the trivalent classes only."""
-    signature = _check_signature(genus, n_legs)
-    return _complex(_trivalent(*signature), frozenset(), signature)
+    trivalent = _trivalent(*_check_signature(genus, n_legs))
+    pairs = frozenset((g.canonical_label, g.contract_edge(e).canonical_label)
+                      for g in trivalent for e in range(len(g.edges)))
+    return _complex(trivalent, pairs, trivalent, False)
 
 
 def flip_connectivity(genus: int, n_legs: int) -> tuple[bool, int]:

@@ -247,9 +247,9 @@ def new_functional(graph: MarkedGraph, edge_values, leg_values) -> Functional:
 
 
 def filtration_value(w: LevelledWeighting, theta: Functional) -> Fraction:
-    """sum_e theta_e * w_e over all edges and legs; additive in w."""
-    if theta.graph != w.graph:
-        raise GraphMismatch("functional and weighting on different graphs")
+    """sum_e theta_e * w_e over all edges and legs; additive in w.
+    GraphMismatch unless w weights each edge and leg of theta's graph."""
+    w._require_on(theta.graph)
     pairs = zip(
         theta.edge_values + theta.leg_values, w.edge_weights + w.leg_weights
     )

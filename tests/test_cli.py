@@ -115,7 +115,8 @@ def test_count_graph_on_stdin(monkeypatch, capsys):
 def test_count_brute_respects_work_cap(monkeypatch, tmp_path, capsys):
     path = tmp_path / "theta.json"
     path.write_text(json.dumps(theta_graph().to_json()))
-    for limit, error in (("10", "InstanceTooLarge"), ("abc", "BadWorkLimit")):
+    for limit, error in (("10", "InstanceTooLarge"), ("abc", "BadWorkLimit"),
+                         ("-1", "BadWorkLimit")):
         monkeypatch.setenv("VK_BRUTE_LIMIT", limit)
         code = main(["count", "--graph", str(path), "--weights", "",
                      "--level", "3", "--brute"])

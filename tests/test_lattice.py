@@ -247,11 +247,15 @@ def test_brute_limit_env(monkeypatch):
 
 
 def test_malformed_brute_limit(monkeypatch):
-    monkeypatch.setenv("VK_BRUTE_LIMIT", "abc")
-    for walk in CAPPED_WALKS:
-        with pytest.raises(BadWorkLimit, match="'abc'"):
-            walk()
+    for raw in ["abc", "-3"]:
+        monkeypatch.setenv("VK_BRUTE_LIMIT", raw)
+        for walk in CAPPED_WALKS:
+            with pytest.raises(BadWorkLimit, match=f"'{raw}'"):
+                walk()
     assert count_points(theta_graph(), (), 3) == 20
+    monkeypatch.setenv("VK_BRUTE_LIMIT", "0")  # a cap of 0 is a cap
+    with pytest.raises(InstanceTooLarge):
+        count_points_bruteforce(trinode(), (0, 0, 0), 0)
 
 
 def test_count_classical_examples():
@@ -368,6 +372,13 @@ def test_weighting_addition_and_scaling():
     assert w1.scaled(3).level == 9
     with pytest.raises(GraphMismatch):
         w1 + LevelledWeighting(trinode(), (), (0, 0, 0), 1)
+    # a weighting of the wrong length is not summed as a shorter one
+    for bad in [LevelledWeighting(cat, (), (1, 1, 1), 1),
+                LevelledWeighting(cat, (1,), (1, 1, 1, 1, 1), 1)]:
+        with pytest.raises(GraphMismatch):
+            w1 + bad
+        with pytest.raises(GraphMismatch):
+            bad + w1
 
 
 def test_factorization_shape_of_caterpillar_count():

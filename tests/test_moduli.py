@@ -204,6 +204,24 @@ def test_flip_moves_reverify():
             assert mv.ancestor.canonical_label in back
 
 
+def test_flip_complex_matches_flip_neighbors():
+    """The flips grouped by common one-edge ancestor are, class by class,
+    the ones that re-expanding each edge finds, and no re-expansion
+    crosses a loop."""
+    for sig in [(0, 5), (0, 6), (1, 3), (2, 2), (3, 0)]:
+        comp = flip_complex(*sig)
+        label = [g.canonical_label for g in comp.classes]
+        for i, g in enumerate(comp.classes):
+            rows = [(label[a], label[b], w) for a, b, w in comp.flips if a == i]
+            moves = flip_neighbors(g)
+            assert all(genus == 0 for mv in moves
+                       for _, genus in mv.ancestor.vertices)
+            assert sorted(rows) == sorted(
+                (label[i], mv.neighbor.canonical_label,
+                 mv.ancestor.canonical_label) for mv in moves
+            )
+
+
 def test_flip_complex_symmetric_no_self_loops():
     for g, n in [(0, 5), (1, 2), (2, 0)]:
         comp = flip_complex(g, n)

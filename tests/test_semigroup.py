@@ -318,6 +318,12 @@ def test_filtration_graph_mismatch():
     w = LevelledWeighting(caterpillar(4), (0,), (1, 1, 1, 1), 2)
     with pytest.raises(GraphMismatch):
         filtration_value(w, theta)
+    # a weighting of the wrong length is not read as a shorter one
+    theta = new_functional(caterpillar(4), (1,), (1, 1, 1, 1))
+    for w in [LevelledWeighting(caterpillar(4), (), (1, 1, 1), 1),
+              LevelledWeighting(caterpillar(4), (1, 1), (1, 1, 1, 1), 1)]:
+        with pytest.raises(GraphMismatch):
+            filtration_value(w, theta)
 
 
 weights4 = st.tuples(*[st.integers(min_value=0, max_value=5)] * 4)
