@@ -15,10 +15,13 @@ on which trivalent graph carries the computation.
 Two independent counting routes are kept deliberately separate:
 :func:`count_points` contracts 0/1 fusion tensors over the internal edges
 along a plan compiled once per graph, while the literal oracle
-:func:`_walk` visits every assignment of values to the slots and tests each
-vertex.  Tests pit them against each other.  :func:`count_points_bruteforce`,
-:func:`enumerate_points`, :func:`count_classical` and the semigroup checks
-all walk through it, so the VK_BRUTE_LIMIT work cap lives in one place.
+:func:`_walk` assigns values to the slots in order and tests each vertex as
+soon as its last slot is set.  Every point it yields has passed every
+vertex's rule; it skips only the extensions of a prefix that already fails
+a vertex.  Tests pit the two routes against each other.
+:func:`count_points_bruteforce`, :func:`enumerate_points`,
+:func:`count_classical` and the semigroup checks all walk through it, so
+the VK_BRUTE_LIMIT work cap lives in one place.
 
 The contraction is exact, and each step runs in the narrowest dtype that
 keeps it so.  Every entry of a step's result, and every partial sum inside
@@ -386,8 +389,16 @@ def _walk(graph: MarkedGraph, legs, bound: int, admissible) -> Iterator[tuple]:
     legs: fixed leg values in label order, or None to walk the legs too.
     admissible(a, b, c) is the vertex rule.  Nothing is yielded when a fixed
     leg value lies outside 0..bound.  Raises InstanceTooLarge when the
-    assignment count exceeds the VK_BRUTE_LIMIT cap.  Independent of the
+    a-priori assignment count (bound + 1) ** width, width the number of
+    slots walked, exceeds the VK_BRUTE_LIMIT cap.  Independent of the
     tensor route on purpose.
+
+    The slots are set in runs: each run ends where some vertex has its last
+    walked slot, and the candidates of a run are tested by exactly those
+    vertices.  A vertex whose slots are all fixed legs is tested once, on
+    the empty run before the first walked slot.  So each yielded point has
+    passed every vertex's rule, and only extensions of a prefix that
+    already fails a vertex are skipped.
     """
     if bound < 0 or legs is not None and not all(0 <= w <= bound for w in legs):
         return
@@ -399,14 +410,40 @@ def _walk(graph: MarkedGraph, legs, bound: int, admissible) -> Iterator[tuple]:
         raise InstanceTooLarge(
             f"{total} assignments exceeds the work cap {limit}"
         )
-    stars = list(graph.slots_at.values())
-    axes = [range(bound + 1)] * width + [(w,) for w in legs or ()]
-    for point in itertools.product(*axes):
-        for i, j, k in stars:
-            if not admissible(point[i], point[j], point[k]):
-                break
+    # A vertex is due once its last walked slot is set, at 0 when all its
+    # slots are fixed legs.  Every walked slot lies on a vertex, so the
+    # last run ends at width.  A run is (first slot, end, vertices due).
+    due: dict[int, list] = {}
+    for star in graph.slots_at.values():
+        end = max(s if s < width else -1 for s in star) + 1
+        due.setdefault(end, []).append(star)
+    ends = sorted(due)
+    runs = [(start, end, due[end]) for start, end in zip([0] + ends, ends)]
+    values = range(bound + 1)
+
+    def candidates(point: tuple, n: int) -> Iterator[tuple]:
+        """point with the slots of run n set in every way, lex order."""
+        start, end, _ = runs[n]
+        axes = [(v,) for v in point]
+        axes[start:end] = [values] * (end - start)
+        return itertools.product(*axes)
+
+    # one candidate iterator per run entered, each below a passing prefix
+    walks = [candidates((0,) * width + tuple(legs or ()), 0)]
+    while walks:
+        _, end, stars = runs[len(walks) - 1]
+        for point in walks[-1]:
+            for i, j, k in stars:
+                if not admissible(point[i], point[j], point[k]):
+                    break
+            else:
+                if end == width:
+                    yield point
+                else:
+                    walks.append(candidates(point, len(walks)))
+                    break
         else:
-            yield point
+            walks.pop()
 
 
 def _level_points(
@@ -420,10 +457,13 @@ def _level_points(
 
 
 def count_points_bruteforce(graph: MarkedGraph, leaf_weights, level: int) -> int:
-    """Literal enumeration of all (level+1)^E internal assignments.
+    """Literal enumeration of the internal assignments, by the walk.
 
-    Independent of the tensor route on purpose.  Raises InstanceTooLarge
-    when the assignment count exceeds the VK_BRUTE_LIMIT cap.
+    Every counted weighting is tested at every vertex; only extensions of
+    a prefix that already fails a vertex go unvisited.  Independent of the
+    tensor route on purpose.  Raises InstanceTooLarge when the a-priori
+    count (level+1)^E of E internal assignments exceeds the VK_BRUTE_LIMIT
+    cap.
     """
     require_trivalent(graph)
     legs = _leg_vector(graph, leaf_weights)
@@ -445,8 +485,10 @@ def count_classical(tree: MarkedGraph, leaf_weights) -> int:
     """Admissible weightings of a trivalent tree with no level truncation.
 
     Finite because every internal weight is forced below the sum of the
-    leaf weights by the triangle inequalities.  Literal enumeration,
-    independent of the level-truncated routes.
+    leaf weights by the triangle inequalities.  Literal enumeration by the
+    walk with values up to that sum, every counted weighting tested at
+    every vertex; independent of the level-truncated routes.  The cap
+    judges the a-priori count (sum + 1)^E.
     """
     require_tree(tree)
     require_trivalent(tree)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Iterator
 
 from .errors import BadWeighting, CounterexampleFound, GraphMismatch
@@ -175,19 +176,20 @@ def degree_one_generation_check(
     """
     require_tree(tree)
     require_trivalent(tree)
-    generators = list(_all_points(tree, 1))
+    # each generator with its slot-value tuple (edges, then legs)
+    generators = [
+        (gen, gen.edge_weights + gen.leg_weights)
+        for gen in _all_points(tree, 1)
+    ]
     certificates = {}
     below: dict[tuple, tuple] = {}  # certified points of the level below
     for level in range(_integer(level_bound, "level bound") + 1):
         table = {}
         for w in _all_points(tree, level):
-            ew, lw = w.edge_weights, w.leg_weights
+            slots = w.edge_weights + w.leg_weights
             parts = () if level == 0 else None
-            for gen in generators:
-                rest = (
-                    tuple(x - y for x, y in zip(ew, gen.edge_weights)),
-                    tuple(x - y for x, y in zip(lw, gen.leg_weights)),
-                )
+            for gen, step in generators:
+                rest = tuple(map(sub, slots, step))
                 if rest in below:
                     parts = (gen,) + below[rest]
                     break
@@ -195,7 +197,7 @@ def degree_one_generation_check(
                 raise CounterexampleFound(
                     w, f"no decomposition into {level} level-1 points"
                 )
-            table[ew, lw] = certificates[w] = parts
+            table[slots] = certificates[w] = parts
         below = table
     return True, certificates
 

@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from verkit import (
     degree_one_generation_check,
     dumbbell,
     enumerate_points,
+    enumerate_trivalent,
     gorenstein_check,
     interior_points,
     is_point,
@@ -38,7 +40,7 @@ from verkit import (
     trinode,
     verlinde_closed_form,
 )
-from verkit import lattice
+from verkit import lattice, semigroup
 
 small = st.integers(min_value=0, max_value=8)
 
@@ -224,6 +226,59 @@ def test_enumerate_points_lexicographic():
     pts = [w.edge_weights for w in enumerate_points(th, (), 2)]
     assert pts == sorted(pts)
     assert len(pts) == count_points(th, (), 2)
+
+
+def _every_assignment(graph, legs, bound, admissible):
+    """The walk's reference: filter every assignment of 0..bound to the
+    slots, fixed legs appended, by every vertex's rule."""
+    if bound < 0 or legs is not None and not all(0 <= w <= bound for w in legs):
+        return []
+    width = len(graph.edges) + (graph.n_legs if legs is None else 0)
+    stars = list(graph.slots_at.values())
+    axes = [range(bound + 1)] * width + [(w,) for w in legs or ()]
+    return [
+        p for p in itertools.product(*axes)
+        if all(admissible(p[i], p[j], p[k]) for i, j, k in stars)
+    ]
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [admissible_triple_level, semigroup._interior_triple, admissible_triple],
+    ids=["level", "interior", "classical"],
+)
+def test_walk_prunes_only_what_fails(rule):
+    cat5 = caterpillar(5)
+    graphs = [trinode(), caterpillar(4), cat5, dumbbell(), theta_graph(),
+              loop_with_leg()]
+    for sig in [(0, 4), (0, 5), (1, 1), (1, 2), (2, 0), (2, 1)]:
+        graphs += enumerate_trivalent(*sig)
+    rng = random.Random(13)
+    for graph in graphs:
+        n = graph.n_legs
+        width = len(graph.edges) + n
+        for L in range(-1, 5):
+            check = (rule if rule is admissible_triple
+                     else partial(rule, level=L))
+            in_range = [tuple(rng.randint(0, max(L, 0)) for _ in range(n))
+                        for _ in range(2)]
+            outside = tuple(rng.choice([-1, L + 1]) if i == 0 else 0
+                            for i in range(n))
+            # legs free on every walk of at most 5^6 assignments, and on
+            # caterpillar(5) at level 4; the other (0,5) trees at level 4
+            # would take seconds more of reference filtering
+            free = [None] if (L + 1) ** width <= 5**6 or graph is cat5 else []
+            for legs in free + in_range + [outside]:
+                assert list(lattice._walk(graph, legs, L, check)) == (
+                    _every_assignment(graph, legs, L, check)
+                ), (graph, legs, L)
+    # a width-0 walk: every slot is a fixed leg
+    rule = partial(admissible_triple_level, level=3)
+    for legs in [(1, 1, 0), (1, 1, 1), (3, 2, 1), (4, 0, 4)]:
+        assert list(lattice._walk(trinode(), legs, 3, rule)) == (
+            _every_assignment(trinode(), legs, 3, rule)
+        )
+    assert list(lattice._walk(trinode(), (3, 2, 1), 3, rule)) == [(3, 2, 1)]
 
 
 # every literal walk, each on an instance past a cap of 10 assignments
