@@ -28,8 +28,9 @@ class BadLegLabels(VerkitError):
 
 
 class DanglingReference(VerkitError):
-    """An edge or leg references a vertex id that does not exist,
-    or the vertex list itself is malformed (duplicate ids)."""
+    """An edge or leg references a vertex id that does not exist, the
+    vertex list itself is malformed (duplicate ids), or an edge slot is
+    not an integer naming an edge."""
 
 
 class BadGraphDocument(VerkitError):
@@ -55,7 +56,9 @@ class NotATree(VerkitError):
 
 class InstanceTooLarge(VerkitError):
     """A brute-force enumeration would exceed the configured work limit
-    (VK_BRUTE_LIMIT environment variable, default 10**8 assignments)."""
+    (VK_BRUTE_LIMIT environment variable, default 10**8 assignments), or a
+    tensor contraction would hold an array of more than 2**26 entries (a
+    fixed cap that VK_BRUTE_LIMIT does not govern)."""
 
 
 class BadWorkLimit(VerkitError):

@@ -114,8 +114,9 @@ class MarkedGraph:
         its vertex's genus goes up by one.  Total genus is preserved.
 
         Raises IsLeg if ``e`` points at a leg slot and DanglingReference if
-        it points at nothing.
+        it points at nothing or is not an integer (a float or a boolean).
         """
+        e = e if type(e) is int else _integer(e, "edge slot", DanglingReference)
         ne = len(self.edges)
         if ne <= e < ne + self.n_legs:
             raise IsLeg(f"slot {e} is leg {self.legs[e - ne][1]}, not an edge")

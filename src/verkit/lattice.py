@@ -51,6 +51,8 @@ from .graphs import MarkedGraph, require_tree, require_trivalent
 from .graphs import _integer as _read_integer
 
 DEFAULT_BRUTE_LIMIT = 10**8
+# Entries the tensor route may hold in one array: 512 MiB of float64.
+_TENSOR_CAP = 2**26
 
 
 def brute_limit() -> int:
@@ -124,6 +126,9 @@ class LevelledWeighting:
             raise GraphMismatch("weighting has the wrong number of weights")
 
     def scaled(self, k: int) -> "LevelledWeighting":
+        """Every weight and the level times k; BadWeighting unless k is an
+        integer."""
+        k = _integer(k, "scale")
         return LevelledWeighting(
             self.graph,
             tuple(k * w for w in self.edge_weights),
@@ -220,7 +225,7 @@ def is_point(graph: MarkedGraph, w: LevelledWeighting) -> bool:
 
 
 def _compile(graph: MarkedGraph) -> tuple:
-    """The graph's contraction plan, (vertices, steps, bounds).
+    """The graph's contraction plan, (vertices, steps, bounds, rank).
 
     vertices: per vertex in graph order, (has a loop, leg positions in
     label order); the vertex factor's axes are its non-loop edges in slot
@@ -232,7 +237,7 @@ def _compile(graph: MarkedGraph) -> tuple:
     of slots summed inside its result, as a tuple with fixed legs and one
     with summed legs.  A shared edge, a loop (its diagonal sums one value)
     and a summed leg each add 1; the last step sums every slot, so its k is
-    the largest.
+    the largest.  rank: the most axes any step's result has, 0 with no step.
     """
     require_trivalent(graph)
     ne = len(graph.edges)
@@ -244,7 +249,7 @@ def _compile(graph: MarkedGraph) -> tuple:
         vertices.append((loop, at))
         live.append([s for s in slots if s < ne and slots.count(s) == 1])
         ks.append((int(loop), int(loop) + len(at)))
-    steps, bounds = [], []
+    steps, bounds, rank = [], [], 0
     while len(live) > 1:
         best = None
         for i in range(len(live)):
@@ -257,7 +262,8 @@ def _compile(graph: MarkedGraph) -> tuple:
                     best = (out, i, j, shared)
         if best is None:
             raise AssertionError("tensor network disconnected")
-        _, i, j, shared = best
+        out, i, j, shared = best
+        rank = max(rank, out)
         aj, kj = live.pop(j), ks.pop(j)
         ai, ki = live.pop(i), ks.pop(i)
         steps.append((
@@ -270,7 +276,7 @@ def _compile(graph: MarkedGraph) -> tuple:
         ks.append(tuple(x + y + len(shared) for x, y in zip(ki, kj)))
         bounds.append(ks[-1])
     fixed, summed = (tuple(k[m] for k in bounds) for m in (0, 1))
-    return tuple(vertices), tuple(steps), (fixed, summed)
+    return tuple(vertices), tuple(steps), (fixed, summed), rank
 
 
 _plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -287,15 +293,13 @@ def _plan(graph: MarkedGraph) -> tuple:
 
 @lru_cache(maxsize=None)
 def _kernels(level: int) -> tuple:
-    """Vertex factors at this level, in float64.
+    """The level's two vertex factors (T, D), in float64.
 
-    The 0/1 fusion tensor T[a, b, c] over 0..level is symmetric in its three
-    slots, so a vertex factor depends only on whether the vertex has a loop
-    and on its leg values.  Entry [loop][m] is T (no loop) or the loop
-    diagonal D[x] = sum_a T[a, a, x] (loop), summed over its last m axes:
-    the factor of a vertex with m open legs.  Fixed legs index [loop][0].
-    Every entry is at most (level + 1) ** 3, exact in float64 for any
-    level whose tensor fits in memory.
+    T = W_{0,3} is the 0/1 fusion tensor T[a, b, c] over 0..level, symmetric
+    in its three slots: the factor of a vertex without a loop.  D = W_{1,1}
+    is its loop trace D[x] = sum_a T[a, a, x], the factor of a vertex with
+    one.  A vertex's legs are its factor's last axes; _contract fixes or
+    sums them.  Entries are at most level + 1.
     """
     r = np.arange(level + 1)
     a, b, c = r[:, None, None], r[None, :, None], r[None, None, :]
@@ -306,13 +310,7 @@ def _kernels(level: int) -> tuple:
         & (a + b + c <= 2 * level)
     )
     t = ok.astype(np.float64)
-    out = []
-    for k in (t, t[r, r].sum(axis=0)):
-        sums = [k]
-        for _ in range(k.ndim):
-            sums.append(sums[-1].sum(axis=-1))
-        out.append(tuple(sums))
-    return tuple(out)
+    return t, t[r, r].sum(axis=0)
 
 
 def _exact_dtype(bound: int):
@@ -335,20 +333,29 @@ def _widen(x, dtype):
 def _contract(plan: tuple, level: int, legs) -> int:
     """Sum the product of the vertex factors over every edge, along the plan.
 
-    legs: fixed leg values in label order, or None to sum the legs too.
-    Each step runs in the narrowest exact dtype for (level + 1) ** k, k its
-    bound from the plan (see the module docstring); when the last, largest
-    bound is below 2^53 every step runs in float64 and none picks a dtype.
+    A vertex's factor is T = W_{0,3}, or D = W_{1,1} at a loop, and its legs
+    are the factor's last axes, applied here and nowhere else: legs holds
+    fixed leg values in label order, which index those axes, or is None to
+    sum over them.  Each step runs in the narrowest exact dtype for
+    (level + 1) ** k, k its bound from the plan (see the module docstring);
+    when the last, largest bound is below 2^53 every step runs in float64
+    and none picks a dtype.  Raises InstanceTooLarge, before allocating,
+    when T or a step's result would hold more than _TENSOR_CAP entries.
     """
-    vertices, steps, bounds = plan
+    vertices, steps, bounds, rank = plan
+    size = (level + 1) ** max(3, rank)
+    if size > _TENSOR_CAP:
+        raise InstanceTooLarge(
+            f"a tensor of {size} entries at level {level} exceeds the cap "
+            f"{_TENSOR_CAP}"
+        )
     kernels = _kernels(level)
     if legs is None:
-        live = [kernels[loop][len(at)] for loop, at in vertices]
+        live = [kernels[loop].sum(axis=tuple(range(-len(at), 0)))
+                for loop, at in vertices]
     else:
-        live = [
-            kernels[loop][0][(..., *[legs[p] for p in at])]
-            for loop, at in vertices
-        ]
+        live = [kernels[loop][(..., *[legs[p] for p in at])]
+                for loop, at in vertices]
     ks = bounds[legs is None]
     wide = ks and (level + 1) ** ks[-1] >= 2**53
     for n, (i, j, axes_i, axes_j) in enumerate(steps):
@@ -369,7 +376,8 @@ def count_points(graph: MarkedGraph, leaf_weights, level: int) -> int:
     (level + 1) ** k < 2^53, in int64 while it is below 2^63, and on object
     arrays of Python ints past that; k is at most E, the number of edges.
     Leg values outside 0..level make the count 0.  A weight or level that
-    is not an integer raises BadWeighting.
+    is not an integer raises BadWeighting, and InstanceTooLarge is raised
+    when T or a step's result would hold more than 2**26 entries.
     """
     plan = _plan(graph)
     legs = _leg_vector(graph, leaf_weights)
@@ -503,7 +511,8 @@ def count_cox(graph: MarkedGraph, level: int) -> int:
     the degree-level piece of the total coordinate ring grading.  The
     contraction picks each step's dtype as count_points does, with every
     summed leg adding 1 to the k of the step that contains it, so k is at
-    most E + n with E edges and n legs.
+    most E + n with E edges and n legs, and refuses a level past the same
+    2**26-entry cap.
     """
     plan = _plan(graph)
     level = _integer(level, "level")

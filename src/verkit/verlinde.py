@@ -12,10 +12,10 @@ Routes:
     ((L+2)/2)^(g-1) * sum_j prod_i sin((r_i+1) j pi/(L+2))
                       * sin(j pi/(L+2))^(2-2g-n).
 
-Signatures below stability are normalized first: with no legs a single
-0-weighted leg is attached (vacuum insertion), and genus-0 signatures with
-n < 3 are padded with 0-weighted legs, both of which leave the count
-unchanged because fusing with the trivial weight is the identity.
+Signatures below stability are normalized first: 0-weighted legs are
+attached up to 3 - 2g, the fewest legs a stable signature of genus g needs
+(three at genus 0, one at genus 1, none above).  That leaves the count
+unchanged, because fusing with the trivial weight is the identity.
 """
 
 from __future__ import annotations
@@ -90,11 +90,8 @@ def _normalize(genus: int, leaf_weights, level: int):
     if leaf_weights is None:
         leaf_weights = ()
     r = tuple(_integer(x, "leaf weight") for x in leaf_weights)
-    if _integer(genus, "genus") == 0:
-        while len(r) < 3:
-            r = r + (0,)
-    elif not r:
-        r = (0,)
+    # pad to 3 - 2g legs, at most three, so a negative genus stays cheap
+    r += (0,) * (min(3, 3 - 2 * _integer(genus, "genus")) - len(r))
     _check_signature(genus, len(r))  # only a negative genus is left to fail
     return r, _integer(level, "level")
 

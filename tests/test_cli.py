@@ -9,7 +9,9 @@ import sys
 
 import pytest
 
-from verkit import caterpillar, cli, dumbbell, moduli, theta_graph, trinode
+from verkit import (
+    caterpillar, cli, dumbbell, lattice, moduli, theta_graph, trinode
+)
 from verkit.cli import build_parser, main
 from verkit.errors import NumericalResidual
 
@@ -333,6 +335,20 @@ def test_closed_form_outside_double_range_exits_three(capsys):
                  "--method", "closed"])
     assert code == 3
     assert "NumericalResidual" in capsys.readouterr().err
+
+
+def test_tensor_too_large_exits_two(monkeypatch, capsys):
+    def refuse(level):
+        raise AssertionError(f"built the kernels of level {level}")
+
+    monkeypatch.setattr(lattice, "_kernels", refuse)
+    code = main(["verlinde", "--genus", "1", "--level", "1000000"])
+    assert code == 2
+    assert "InstanceTooLarge" in capsys.readouterr().err
+    code = main(["verlinde", "--genus", "1", "--level", "2000",
+                 "--method", "closed"])
+    assert code == 0
+    assert capsys.readouterr().out == "2001\n"
 
 
 def test_residual_failure_exits_three(monkeypatch, capsys):

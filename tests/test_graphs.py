@@ -132,6 +132,10 @@ def test_contract_edge_slot_errors():
         g.contract_edge(ne + 4)
     with pytest.raises(DanglingReference):
         g.contract_edge(-1)
+    for slot in (True, 1.0):  # read as an integer, not as edge 1
+        with pytest.raises(DanglingReference):
+            g.contract_edge(slot)
+    assert g.contract_edge(np.int64(0)) == g.contract_edge(0)
 
 
 def test_isomorphism_ignores_vertex_ids_and_edge_order():

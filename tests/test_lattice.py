@@ -38,6 +38,7 @@ from verkit import (
     new_graph,
     theta_graph,
     trinode,
+    verlinde,
     verlinde_closed_form,
 )
 from verkit import lattice, semigroup
@@ -297,7 +298,7 @@ def test_brute_limit_env(monkeypatch):
     for walk in CAPPED_WALKS:
         with pytest.raises(InstanceTooLarge):
             walk()
-    # the tensor route is not capped
+    # the tensor route is not capped by VK_BRUTE_LIMIT
     assert count_points(theta_graph(), (), 3) == 20
 
 
@@ -311,6 +312,29 @@ def test_malformed_brute_limit(monkeypatch):
     monkeypatch.setenv("VK_BRUTE_LIMIT", "0")  # a cap of 0 is a cap
     with pytest.raises(InstanceTooLarge):
         count_points_bruteforce(trinode(), (0, 0, 0), 0)
+
+
+def test_tensor_route_refuses_what_it_cannot_hold(monkeypatch):
+    # T has (L+1)^3 entries and a rank-4 step (L+1)^4: the 2^26 cap stops
+    # T above level 405 and K33 above level 89, before anything is built.
+    class Built(Exception):
+        pass
+
+    def build(level):
+        raise Built(level)
+
+    monkeypatch.setattr(lattice, "_kernels", build)
+    k33 = _closed([(a, b) for a in range(3) for b in range(3, 6)])
+    for call in [lambda: verlinde(1, (), 10**6),
+                 lambda: count_cox(theta_graph(), 10**6),
+                 lambda: count_points(k33, (), 90)]:
+        with pytest.raises(InstanceTooLarge):
+            call()
+    for call in [lambda: count_points(k33, (), 89),
+                 lambda: count_points(trinode(), (0, 0, 0), 405),
+                 lambda: count_cox(trinode(), 405)]:
+        with pytest.raises(Built):
+            call()
 
 
 def test_count_classical_examples():
@@ -425,6 +449,10 @@ def test_weighting_addition_and_scaling():
     assert s.edge_weights == (2,) and s.leg_weights == (2, 1, 2, 1)
     assert s.level == 5
     assert w1.scaled(3).level == 9
+    assert w1.scaled(np.int64(2)) == w1 + w1
+    for k in (1.5, True):
+        with pytest.raises(BadWeighting):
+            w1.scaled(k)
     with pytest.raises(GraphMismatch):
         w1 + LevelledWeighting(trinode(), (), (0, 0, 0), 1)
     # a weighting of the wrong length is not summed as a shorter one

@@ -134,6 +134,8 @@ def test_standard_graph_rejects_unstable():
             standard_graph(g, n)
     with pytest.raises(UnstableSignature):
         verlinde(-1, (), 2)
+    with pytest.raises(UnstableSignature):  # padding 3 - 2g legs is clamped
+        verlinde(-10**18, (), 2)
     for route in (verlinde_factor, verlinde_closed_form):
         with pytest.raises(UnstableSignature):
             route(-1, (1,), 2)
@@ -155,6 +157,12 @@ def test_small_frozen_values():
     assert verlinde(2, (), 1) == 4
     assert verlinde(2, (), 2) == 10
     assert verlinde(0, (0, 0, 0), 7) == 1
+
+
+def test_genus_two_and_up_need_no_vacuum_leg():
+    for g in range(2, 5):
+        for L in range(5):
+            assert verlinde(g, (), L) == count_points(standard_graph(g, 0), (), L)
 
 
 def test_short_leaf_tuples_pad_neutrally():
