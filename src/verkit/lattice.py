@@ -230,10 +230,12 @@ def _compile(graph: MarkedGraph) -> tuple:
     vertices: per vertex in graph order, (has a loop, leg positions in
     label order); the vertex factor's axes are its non-loop edges in slot
     order, each shared with one neighbour.  steps: the greedy pairwise
-    order, which repeatedly contracts the first pair sharing an edge whose
-    result has the fewest axes, as (i, j, axes_i, axes_j) with i < j
-    indexing the live factor list: factors i and j leave it and their
-    tensordot over those axes is appended.  bounds: per step, k, the number
+    order, as (i, j, axes_i, axes_j) with i < j indexing the live factor
+    list: factors i and j leave it and their tensordot over those axes is
+    appended.  Each open edge joins two live factors, and each step takes
+    the least (result axes, i, j) over those pairs, the result axes being
+    the edges in exactly one of the two; planning is quadratic in the
+    vertex count.  bounds: per step, k, the number
     of slots summed inside its result, as a tuple with fixed legs and one
     with summed legs.  A shared edge, a loop (its diagonal sums one value)
     and a summed leg each add 1; the last step sums every slot, so its k is
@@ -251,18 +253,13 @@ def _compile(graph: MarkedGraph) -> tuple:
         ks.append((int(loop), int(loop) + len(at)))
     steps, bounds, rank = [], [], 0
     while len(live) > 1:
-        best = None
-        for i in range(len(live)):
-            for j in range(i + 1, len(live)):
-                shared = [a for a in live[i] if a in live[j]]
-                if not shared:
-                    continue
-                out = len(live[i]) + len(live[j]) - 2 * len(shared)
-                if best is None or out < best[0]:
-                    best = (out, i, j, shared)
-        if best is None:
-            raise AssertionError("tensor network disconnected")
-        out, i, j, shared = best
+        ends = {}  # open edge -> the positions of its two live factors
+        for i, axes in enumerate(live):
+            for a in axes:
+                ends.setdefault(a, []).append(i)
+        out, i, j = min((len(set(live[i]) ^ set(live[j])), i, j)
+                        for i, j in ends.values())
+        shared = [a for a in live[i] if a in live[j]]
         rank = max(rank, out)
         aj, kj = live.pop(j), ks.pop(j)
         ai, ki = live.pop(i), ks.pop(i)
@@ -351,8 +348,8 @@ def _contract(plan: tuple, level: int, legs) -> int:
         )
     kernels = _kernels(level)
     if legs is None:
-        live = [kernels[loop].sum(axis=tuple(range(-len(at), 0)))
-                for loop, at in vertices]
+        live = [kernels[loop].sum(axis=tuple(range(-len(at), 0))) if at
+                else kernels[loop] for loop, at in vertices]
     else:
         live = [kernels[loop][(..., *[legs[p] for p in at])]
                 for loop, at in vertices]
@@ -483,10 +480,11 @@ def count_points_bruteforce(graph: MarkedGraph, leaf_weights, level: int) -> int
 def enumerate_points(
     graph: MarkedGraph, leaf_weights, level: int
 ) -> Iterator[LevelledWeighting]:
-    """Yield admissible weightings in lexicographic edge-weight order."""
+    """Admissible weightings in lexicographic edge-weight order; the
+    arguments are checked on the call, the walk and its cap run on iteration."""
     require_trivalent(graph)
     legs = _leg_vector(graph, leaf_weights)
-    yield from _level_points(graph, legs, _integer(level, "level"))
+    return _level_points(graph, legs, _integer(level, "level"))
 
 
 def count_classical(tree: MarkedGraph, leaf_weights) -> int:

@@ -102,11 +102,15 @@ def interior_points(
     the level inequality (slot sum < 2L) hold strictly.  Every weight then
     satisfies 0 < w < L as well: the strict triangle inequalities give
     w > |b - c| >= 0, and 2w < a + b + c < 2L gives w < L.  Levels run
-    from 0 to level_bound; order is (level, weights) lexicographic.
+    from 0 to level_bound; order is (level, weights) lexicographic.  The
+    graph and bound are checked on the call; the walks, and their work cap,
+    run as the result is iterated.
     """
     require_trivalent(graph)
-    for level in range(_integer(level_bound, "level bound") + 1):
-        yield from _level_points(graph, None, level, _interior_triple)
+    levels = range(_integer(level_bound, "level bound") + 1)
+    return itertools.chain.from_iterable(
+        _level_points(graph, None, level, _interior_triple) for level in levels
+    )
 
 
 def dualizing_weighting(graph: MarkedGraph) -> LevelledWeighting:
@@ -224,8 +228,8 @@ class Functional:
 
 
 def _rational(value) -> Fraction:
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is a boolean, not a rational number")
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"{value!r} is not a rational number")
     return Fraction(value)
 
 

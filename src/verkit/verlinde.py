@@ -87,18 +87,21 @@ def _standard_graph(g: int, n: int) -> MarkedGraph:
 
 
 def _normalize(genus: int, leaf_weights, level: int):
+    """The genus, leaf weights and level as ints, the weights padded with
+    zeros to 3 - 2 * genus when there are fewer."""
     if leaf_weights is None:
         leaf_weights = ()
     r = tuple(_integer(x, "leaf weight") for x in leaf_weights)
+    g = _integer(genus, "genus")
     # pad to 3 - 2g legs, at most three, so a negative genus stays cheap
-    r += (0,) * (min(3, 3 - 2 * _integer(genus, "genus")) - len(r))
-    _check_signature(genus, len(r))  # only a negative genus is left to fail
-    return r, _integer(level, "level")
+    r += (0,) * (min(3, 3 - 2 * g) - len(r))
+    _check_signature(g, len(r))  # only a negative genus is left to fail
+    return g, r, _integer(level, "level")
 
 
 def verlinde(genus: int, leaf_weights, level: int) -> int:
     """Lattice count on the standard graph of the (normalized) signature."""
-    r, L = _normalize(genus, leaf_weights, level)
+    genus, r, L = _normalize(genus, leaf_weights, level)
     return count_points(standard_graph(genus, len(r)), r, L)
 
 
@@ -109,7 +112,7 @@ def verlinde_factor(genus: int, leaf_weights, level: int) -> int:
     general it is the same product-of-fusion-coefficients sum carried out
     by literal enumeration of internal labelings.
     """
-    r, L = _normalize(genus, leaf_weights, level)
+    genus, r, L = _normalize(genus, leaf_weights, level)
     if genus == 0 and len(r) == 4:
         return factorization_4point(r[0], r[1], r[2], r[3], L)
     return count_points_bruteforce(standard_graph(genus, len(r)), r, L)
@@ -124,7 +127,7 @@ def verlinde_closed_form(genus: int, leaf_weights, level: int) -> int:
     the nearest integer plus B is below 1/2, and NumericalResidual is
     raised otherwise, also when a term, the sum or B leaves double range.
     """
-    r, L = _normalize(genus, leaf_weights, level)
+    genus, r, L = _normalize(genus, leaf_weights, level)
     if L < 0 or any(x < 0 or x > L for x in r):
         return 0  # same convention as the counting routes
     n = len(r)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import itertools
 import json
 import random
@@ -36,6 +37,7 @@ from verkit import (
     is_point,
     loop_with_leg,
     new_graph,
+    standard_graph,
     theta_graph,
     trinode,
     verlinde,
@@ -291,6 +293,27 @@ CAPPED_WALKS = [
     lambda: gorenstein_check(theta_graph(), 8),
     lambda: degree_one_generation_check(caterpillar(4), 3),
 ]
+
+
+def test_walks_check_their_arguments_on_the_call(monkeypatch):
+    # nothing is iterated here: each call must raise before it returns
+    genus_one = new_graph([(0, 1)], [], [(0, 1)])
+    with pytest.raises(NonTrivalentGraph):
+        enumerate_points(genus_one, (0,), 2)
+    with pytest.raises(GraphMismatch):
+        enumerate_points(caterpillar(4), (1, 1, 1), 2)
+    with pytest.raises(BadWeighting):
+        enumerate_points(trinode(), (1, 1, 0), 1.5)
+    with pytest.raises(NonTrivalentGraph):
+        interior_points(genus_one, 3)
+    with pytest.raises(BadWeighting):
+        interior_points(theta_graph(), "3")
+    # the walk and its work cap still run on iteration
+    monkeypatch.setenv("VK_BRUTE_LIMIT", "10")
+    for walk in [enumerate_points(theta_graph(), (), 3),
+                 interior_points(theta_graph(), 3)]:
+        with pytest.raises(InstanceTooLarge):
+            next(walk)
 
 
 def test_brute_limit_env(monkeypatch):
@@ -579,3 +602,37 @@ def test_blas_counts_on_wide_closed_graphs(monkeypatch):
             _assert_narrowest(seen, graph, L)
     assert count_points(cube, (), 12) == 802918753
     assert count_points(k33, (), 14) == 18948608
+
+
+def _plan_pin_graphs():
+    """Every class of the small signatures, the standard graphs up to genus
+    25, caterpillars up to 60 legs, and three wide closed graphs."""
+    signatures = [(0, n) for n in range(3, 8)] + [(1, n) for n in range(1, 5)]
+    signatures += [(2, 0), (2, 1), (2, 2), (3, 0), (4, 0)]
+    for g, n in signatures:
+        yield from enumerate_trivalent(g, n)
+    for g in range(26):
+        for n in range(5):
+            if 2 * g - 2 + n > 0:
+                yield standard_graph(g, n)
+    for n in range(3, 61):
+        yield caterpillar(n)
+    ring = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    yield _closed([(a, b) for a in range(3) for b in range(3, 6)])
+    yield _closed([(a, b) for a in range(8) for b in range(a + 1, 8)
+                   if bin(a ^ b).count("1") == 1])
+    yield _closed(ring + spokes + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+# sha256 over the repr of every plan above, taken with the earlier planner
+# that scanned all pairs of live factors: the open-edge planner must
+# reproduce its plans exactly, since plans fix every step's dtype and shape.
+PLAN_DIGEST = "12b684973cc68f8e269cf584ac0876cfd5860e4c790882436cb3860f247dfc89"
+
+
+def test_plans_are_pinned():
+    digest = hashlib.sha256()
+    for graph in _plan_pin_graphs():
+        digest.update(repr(lattice._compile(graph)).encode())
+    assert digest.hexdigest() == PLAN_DIGEST

@@ -304,7 +304,8 @@ def test_new_functional_validation():
         new_functional(t, (), (1, 1))
     with pytest.raises(BadWeighting):
         new_functional(t, (), (1, -1, 1))
-    for values in [("x", 1, 1), (None, 1, 1), (float("inf"), 1, 1)]:
+    for values in [("x", 1, 1), (None, 1, 1), (float("inf"), 1, 1),
+                   ("1/2", 1, 1), (1, " 3 ", 0)]:
         with pytest.raises(BadWeighting):
             new_functional(t, (), values)
     with pytest.raises(BadWeighting):

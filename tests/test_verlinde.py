@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +215,17 @@ def test_tensor_route_is_exact_past_2_63():
 def test_closed_form_refuses_outside_double_range(genus, level):
     with pytest.raises(NumericalResidual):
         verlinde_closed_form(genus, (), level)
+
+
+def test_every_route_reads_a_numpy_genus_as_an_int():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalResidual) as exc:
+            verlinde_closed_form(np.int64(400), (), 5)
+        assert type(exc.value.value) is float
+        for route in (verlinde, verlinde_factor, verlinde_closed_form):
+            assert route(np.int64(2), (1, 1), 3) == route(2, (1, 1), 3) == 40
+            assert route(np.int64(0), (1, 1, 1, 1), 2) == 2
 
 
 def test_closed_form_rounds_a_value_far_above_one():
