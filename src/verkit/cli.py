@@ -130,7 +130,8 @@ def _cmd_hilbert(args) -> int:
             _load_graph(args.graph), _parse_weights(args.base_weights),
             args.base_level, args.max,
         )
-    return _show(args, table.to_json(), table.values)
+    # the document labels the graph canonically: build it only when shown
+    return _show(args, table.to_json() if args.json else None, table.values)
 
 
 def _cmd_check(check, count_key: str, args) -> int:

@@ -55,14 +55,10 @@ class NotATree(VerkitError):
 
 
 class InstanceTooLarge(VerkitError):
-    """A brute-force enumeration would exceed the configured work limit
-    (VK_BRUTE_LIMIT environment variable, default 10**8 assignments), or a
-    tensor contraction would hold an array of more than 2**26 entries (a
-    fixed cap that VK_BRUTE_LIMIT does not govern)."""
-
-
-class BadWorkLimit(VerkitError):
-    """VK_BRUTE_LIMIT is set, but not to an integer >= 0."""
+    """Work past a fixed cap, refused before it starts: a literal walk of
+    more than 10**8 assignments, a tensor contraction holding an array of
+    more than 2**26 entries, or a Verlinde level loop of more than 2**20
+    terms."""
 
 
 class BadWeighting(VerkitError):

@@ -21,7 +21,7 @@ vertex's rule; it skips only the extensions of a prefix that already fails
 a vertex.  Tests pit the two routes against each other.
 :func:`count_points_bruteforce`, :func:`enumerate_points`,
 :func:`count_classical` and the semigroup checks all walk through it, so
-the VK_BRUTE_LIMIT work cap lives in one place.
+the walk's work cap, _WALK_CAP, lives in one place.
 
 The contraction is exact, and each step runs in the narrowest dtype that
 keeps it so.  Every entry of a step's result, and every partial sum inside
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -46,27 +45,14 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BadWeighting, BadWorkLimit, GraphMismatch, InstanceTooLarge
+from .errors import BadWeighting, GraphMismatch, InstanceTooLarge
 from .graphs import MarkedGraph, require_tree, require_trivalent
 from .graphs import _integer as _read_integer
 
-DEFAULT_BRUTE_LIMIT = 10**8
+# Assignments the literal walk may visit, judged a priori: (bound+1)**width.
+_WALK_CAP = 10**8
 # Entries the tensor route may hold in one array: 512 MiB of float64.
 _TENSOR_CAP = 2**26
-
-
-def brute_limit() -> int:
-    """Work cap for literal enumerations: VK_BRUTE_LIMIT if set, int >= 0."""
-    raw = os.environ.get("VK_BRUTE_LIMIT")
-    if raw is None:
-        return DEFAULT_BRUTE_LIMIT
-    try:
-        limit = int(raw)
-    except ValueError:
-        limit = -1  # refused below, with the same message
-    if limit < 0:
-        raise BadWorkLimit(f"VK_BRUTE_LIMIT={raw!r} is not an integer >= 0")
-    return limit
 
 
 # -- admissibility --------------------------------------------------------
@@ -395,7 +381,7 @@ def _walk(graph: MarkedGraph, legs, bound: int, admissible) -> Iterator[tuple]:
     admissible(a, b, c) is the vertex rule.  Nothing is yielded when a fixed
     leg value lies outside 0..bound.  Raises InstanceTooLarge when the
     a-priori assignment count (bound + 1) ** width, width the number of
-    slots walked, exceeds the VK_BRUTE_LIMIT cap.  Independent of the
+    slots walked, exceeds _WALK_CAP = 10**8.  Independent of the
     tensor route on purpose.
 
     The slots are set in runs: each run ends where some vertex has its last
@@ -410,10 +396,9 @@ def _walk(graph: MarkedGraph, legs, bound: int, admissible) -> Iterator[tuple]:
     ne = len(graph.edges)
     width = ne + graph.n_legs if legs is None else ne
     total = (bound + 1) ** width
-    limit = brute_limit()
-    if total > limit:
+    if total > _WALK_CAP:
         raise InstanceTooLarge(
-            f"{total} assignments exceeds the work cap {limit}"
+            f"{total} assignments exceeds the work cap {_WALK_CAP}"
         )
     # A vertex is due once its last walked slot is set, at 0 when all its
     # slots are fixed legs.  Every walked slot lies on a vertex, so the
@@ -467,8 +452,8 @@ def count_points_bruteforce(graph: MarkedGraph, leaf_weights, level: int) -> int
     Every counted weighting is tested at every vertex; only extensions of
     a prefix that already fails a vertex go unvisited.  Independent of the
     tensor route on purpose.  Raises InstanceTooLarge when the a-priori
-    count (level+1)^E of E internal assignments exceeds the VK_BRUTE_LIMIT
-    cap.
+    count (level+1)^E of E internal assignments exceeds the walk's fixed
+    cap of 10**8.
     """
     require_trivalent(graph)
     legs = _leg_vector(graph, leaf_weights)

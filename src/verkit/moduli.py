@@ -279,9 +279,9 @@ def flip_connectivity(genus: int, n_legs: int) -> tuple[bool, int]:
     return True, max([diameter] + [reach(i)[1] for i in range(1, len(adj))])
 
 
-def hasse_dot(comp: StratumComplex, name: str = "H") -> str:
-    """Graphviz digraph of the contraction Hasse diagram."""
-    lines = [f"digraph {name} {{"]
+def hasse_dot(comp: StratumComplex) -> str:
+    """Graphviz digraph H of the contraction Hasse diagram."""
+    lines = ["digraph H {"]
     for i, dim in enumerate(comp.cone_dims):
         lines.append(f'  c{i} [label="{i}: dim {dim}"];')
     for i, j in comp.hasse:
@@ -290,9 +290,9 @@ def hasse_dot(comp: StratumComplex, name: str = "H") -> str:
     return "\n".join(lines)
 
 
-def flip_dot(comp: StratumComplex, name: str = "F") -> str:
-    """Graphviz graph of flip adjacency (each pair drawn once)."""
-    lines = [f"graph {name} {{"]
+def flip_dot(comp: StratumComplex) -> str:
+    """Graphviz graph F of flip adjacency (each pair drawn once)."""
+    lines = ["graph F {"]
     for i, g in enumerate(comp.classes):
         if g.is_trivalent():
             lines.append(f'  c{i} [label="{i}"];')

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import NumericalResidual
+from .errors import InstanceTooLarge, NumericalResidual
 from .graphs import (
     MarkedGraph,
     _check_signature,
@@ -38,6 +38,19 @@ from .lattice import (
     count_points,
     count_points_bruteforce,
 )
+
+# Terms a level loop may take, one per weight 0..L: past it the closed
+# form's term list alone would hold tens of MB.
+_LEVEL_CAP = 2**20
+
+
+def _cap_level(level: int) -> None:
+    """InstanceTooLarge when a loop over the weights 0..level would take
+    more than _LEVEL_CAP terms."""
+    if level + 1 > _LEVEL_CAP:
+        raise InstanceTooLarge(
+            f"{level + 1} terms at level {level} exceeds the cap {_LEVEL_CAP}"
+        )
 
 
 def fusion_coeff(a: int, b: int, c: int, level: int) -> int:
@@ -126,10 +139,12 @@ def verlinde_closed_form(genus: int, leaf_weights, level: int) -> int:
     on its rounding error; the value is rounded only when its distance to
     the nearest integer plus B is below 1/2, and NumericalResidual is
     raised otherwise, also when a term, the sum or B leaves double range.
+    InstanceTooLarge when L + 1 exceeds the level-loop cap of 2**20.
     """
     genus, r, L = _normalize(genus, leaf_weights, level)
     if L < 0 or any(x < 0 or x > L for x in r):
         return 0  # same convention as the counting routes
+    _cap_level(L)
     n = len(r)
     q = L + 2
     p = 2 - 2 * genus - n
@@ -168,9 +183,11 @@ def verlinde_closed_form(genus: int, leaf_weights, level: int) -> int:
 def factorization_4point(r1: int, r2: int, r3: int, r4: int, level: int) -> int:
     """Sum over the middle weight of products of two fusion coefficients.
 
-    BadWeighting if a weight or the level is not an integer."""
+    BadWeighting if a weight or the level is not an integer, and
+    InstanceTooLarge when level + 1 exceeds the level-loop cap of 2**20."""
     r1, r2, r3, r4 = (_integer(r, "weight") for r in (r1, r2, r3, r4))
     level = _integer(level, "level")
+    _cap_level(level)
     return sum(
         fusion_coeff(r1, r2, m, level) * fusion_coeff(m, r3, r4, level)
         for m in range(level + 1)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import io
 import json
 import shlex
@@ -10,7 +11,8 @@ import sys
 import pytest
 
 from verkit import (
-    caterpillar, cli, dumbbell, lattice, moduli, theta_graph, trinode
+    MarkedGraph, caterpillar, cli, dumbbell, lattice, moduli, theta_graph,
+    trinode,
 )
 from verkit.cli import build_parser, main
 from verkit.errors import NumericalResidual
@@ -117,13 +119,11 @@ def test_count_graph_on_stdin(monkeypatch, capsys):
 def test_count_brute_respects_work_cap(monkeypatch, tmp_path, capsys):
     path = tmp_path / "theta.json"
     path.write_text(json.dumps(theta_graph().to_json()))
-    for limit, error in (("10", "InstanceTooLarge"), ("abc", "BadWorkLimit"),
-                         ("-1", "BadWorkLimit")):
-        monkeypatch.setenv("VK_BRUTE_LIMIT", limit)
-        code = main(["count", "--graph", str(path), "--weights", "",
-                     "--level", "3", "--brute"])
-        assert code == 2
-        assert error in capsys.readouterr().err
+    monkeypatch.setattr(lattice, "_WALK_CAP", 10)
+    code = main(["count", "--graph", str(path), "--weights", "",
+                 "--level", "3", "--brute"])
+    assert code == 2
+    assert "InstanceTooLarge" in capsys.readouterr().err
 
 
 def test_points_stream(cat_file, capsys):
@@ -150,6 +150,17 @@ def test_hilbert_cox_plain_and_json(trinode_file, capsys):
     assert data["grading"] == "cox"
     assert data["values"] == ["1", "4", "10"]
     assert data["base"] == {}
+
+
+def test_plain_hilbert_builds_no_document(trinode_file, monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("labelled the graph for a plain listing")
+
+    monkeypatch.setattr(MarkedGraph, "canonical_hex", refuse)
+    code = main(["hilbert", "--graph", trinode_file, "--grading", "cox",
+                 "--max", "3"])
+    assert code == 0
+    assert capsys.readouterr().out == "1\n4\n10\n20\n"
 
 
 def test_hilbert_projective(trinode_file, capsys):
@@ -349,6 +360,20 @@ def test_tensor_too_large_exits_two(monkeypatch, capsys):
                  "--method", "closed"])
     assert code == 0
     assert capsys.readouterr().out == "2001\n"
+
+
+def test_level_loop_too_large_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr(importlib.import_module("verkit.verlinde"),
+                        "_LEVEL_CAP", 8)
+    for method, weights in [("closed", ""), ("factor", "0,0,0,0")]:
+        code = main(["verlinde", "--genus", "0", "--weights", weights,
+                     "--level", "8", "--method", method])
+        assert code == 2
+        assert "InstanceTooLarge" in capsys.readouterr().err
+        code = main(["verlinde", "--genus", "0", "--weights", weights,
+                     "--level", "7", "--method", method])
+        assert code == 0
+        assert capsys.readouterr().out == "1\n"
 
 
 def test_residual_failure_exits_three(monkeypatch, capsys):

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from verkit import (
     BadWeighting,
-    BadWorkLimit,
     GraphMismatch,
     InstanceTooLarge,
     LevelledWeighting,
@@ -309,7 +308,7 @@ def test_walks_check_their_arguments_on_the_call(monkeypatch):
     with pytest.raises(BadWeighting):
         interior_points(theta_graph(), "3")
     # the walk and its work cap still run on iteration
-    monkeypatch.setenv("VK_BRUTE_LIMIT", "10")
+    monkeypatch.setattr(lattice, "_WALK_CAP", 10)
     for walk in [enumerate_points(theta_graph(), (), 3),
                  interior_points(theta_graph(), 3)]:
         with pytest.raises(InstanceTooLarge):
@@ -317,24 +316,25 @@ def test_walks_check_their_arguments_on_the_call(monkeypatch):
 
 
 def test_brute_limit_env(monkeypatch):
-    monkeypatch.setenv("VK_BRUTE_LIMIT", "10")
+    # the walk's cap, once read from the environment, is the constant
+    # _WALK_CAP; it is set here the way the tensor cap's test sets its own
+    monkeypatch.setattr(lattice, "_WALK_CAP", 10)
     for walk in CAPPED_WALKS:
-        with pytest.raises(InstanceTooLarge):
+        with pytest.raises(InstanceTooLarge, match="work cap 10"):
             walk()
-    # the tensor route is not capped by VK_BRUTE_LIMIT
+    # the tensor route is not capped by the walk's cap
     assert count_points(theta_graph(), (), 3) == 20
 
 
 def test_malformed_brute_limit(monkeypatch):
-    for raw in ["abc", "-3"]:
-        monkeypatch.setenv("VK_BRUTE_LIMIT", raw)
-        for walk in CAPPED_WALKS:
-            with pytest.raises(BadWorkLimit, match=f"'{raw}'"):
-                walk()
-    assert count_points(theta_graph(), (), 3) == 20
-    monkeypatch.setenv("VK_BRUTE_LIMIT", "0")  # a cap of 0 is a cap
+    # no cap value is refused any more; the edge value 0 is still a cap
+    monkeypatch.setattr(lattice, "_WALK_CAP", 0)
+    for walk in CAPPED_WALKS:
+        with pytest.raises(InstanceTooLarge, match="work cap 0"):
+            walk()
     with pytest.raises(InstanceTooLarge):
         count_points_bruteforce(trinode(), (0, 0, 0), 0)
+    assert count_points(theta_graph(), (), 3) == 20
 
 
 def test_tensor_route_refuses_what_it_cannot_hold(monkeypatch):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import itertools
 import random
 import warnings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from verkit import (
     BadWeighting,
+    InstanceTooLarge,
     NumericalResidual,
     UnstableSignature,
     caterpillar,
@@ -244,6 +246,26 @@ def test_closed_form_is_exact_or_refuses_on_huge_values(genus, n_legs, level):
             assert verlinde_closed_form(genus, r, level) == want
         except NumericalResidual:
             pass
+
+
+def test_level_loops_refuse_past_their_cap(monkeypatch):
+    # a cap of 8 terms: level 7 loops 8 times and answers, level 8 refuses
+    # before its loop, so a missing check fails here without a big loop
+    monkeypatch.setattr(importlib.import_module("verkit.verlinde"),
+                        "_LEVEL_CAP", 8)
+    assert verlinde_closed_form(0, (), 7) == 1
+    assert factorization_4point(0, 0, 0, 0, 7) == 1
+    assert verlinde_factor(0, (1, 1, 1, 1), 7) == 2
+    for call in [lambda: verlinde_closed_form(0, (), 8),
+                 lambda: verlinde_closed_form(1, (2,), 8),
+                 lambda: factorization_4point(0, 0, 0, 0, 8),
+                 lambda: verlinde_factor(0, (1, 1, 1, 1), 8)]:
+        with pytest.raises(InstanceTooLarge, match="exceeds the cap 8"):
+            call()
+    # the out-of-range answers come before the cap
+    assert verlinde_closed_form(0, (9,), 8) == 0
+    assert verlinde_closed_form(0, (), -1) == 0
+    assert factorization_4point(0, 0, 0, 0, -1) == 0
 
 
 def test_factorization_4point_examples():
