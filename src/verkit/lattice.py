@@ -23,6 +23,15 @@ a vertex.  Tests pit the two routes against each other.
 :func:`count_classical` and the semigroup checks all walk through it, so
 the walk's work cap, _WALK_CAP, lives in one place.
 
+The tensor route alone also uses the handshake parity rule.  Each vertex's
+slot sum is even, and the slot sums of all vertices add up to twice the
+sum of the edge weights (a loop fills two slots of its vertex) plus each
+leg weight once, so a weighting can only be admissible when its leg
+weights have an even sum.  count_points returns 0 for an odd leg sum
+before it contracts; the literal walk, count_classical and the closed form
+keep no such rule, so tests still set an independent route against every
+odd-sum query.
+
 The contraction is exact, and each step runs in the narrowest dtype that
 keeps it so.  Every entry of a step's result, and every partial sum inside
 its tensordot, counts assignments to the k slots summed inside that result
@@ -358,14 +367,21 @@ def count_points(graph: MarkedGraph, leaf_weights, level: int) -> int:
     compiled plan.  A step whose result sums k slots runs in float64 while
     (level + 1) ** k < 2^53, in int64 while it is below 2^63, and on object
     arrays of Python ints past that; k is at most E, the number of edges.
-    Leg values outside 0..level make the count 0.  A weight or level that
-    is not an integer raises BadWeighting, and InstanceTooLarge is raised
-    when T or a step's result would hold more than 2**26 entries.
+    Leg values outside 0..level make the count 0, and so does an odd leg
+    sum, without contracting: summed over the vertices, the slot sums count
+    every edge twice (a loop's two slots included) and every leg once, and
+    each vertex's slot sum is even.  The graph, the leg count, the weights
+    and the level are checked first, so these zeros never hide an error.
+    Only this route takes the parity shortcut; the literal walk and the
+    closed form find those zeros on their own.  A weight or level that is
+    not an integer raises BadWeighting, and InstanceTooLarge is raised when
+    the contraction would build a T or a step result of more than 2**26
+    entries.
     """
     plan = _plan(graph)
     legs = _leg_vector(graph, leaf_weights)
     level = _integer(level, "level")
-    if level < 0 or any(w < 0 or w > level for w in legs):
+    if level < 0 or sum(legs) % 2 or any(w < 0 or w > level for w in legs):
         return 0
     return _contract(plan, level, legs)
 

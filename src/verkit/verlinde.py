@@ -181,14 +181,17 @@ def verlinde_closed_form(genus: int, leaf_weights, level: int) -> int:
 
 
 def factorization_4point(r1: int, r2: int, r3: int, r4: int, level: int) -> int:
-    """Sum over the middle weight of products of two fusion coefficients.
+    """Sum over the middle weight m of the products of the two fusion
+    coefficients N(r1, r2, m) and N(m, r3, r4), each 0 or 1.
 
-    BadWeighting if a weight or the level is not an integer, and
-    InstanceTooLarge when level + 1 exceeds the level-loop cap of 2**20."""
+    A literal sum with no parity rule.  BadWeighting if a weight or the
+    level is not an integer, and InstanceTooLarge when level + 1 exceeds
+    the level-loop cap of 2**20."""
     r1, r2, r3, r4 = (_integer(r, "weight") for r in (r1, r2, r3, r4))
     level = _integer(level, "level")
     _cap_level(level)
     return sum(
-        fusion_coeff(r1, r2, m, level) * fusion_coeff(m, r3, r4, level)
+        admissible_triple_level(r1, r2, m, level)
+        and admissible_triple_level(m, r3, r4, level)
         for m in range(level + 1)
     )

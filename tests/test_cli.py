@@ -11,8 +11,8 @@ import sys
 import pytest
 
 from verkit import (
-    MarkedGraph, caterpillar, cli, dumbbell, lattice, moduli, theta_graph,
-    trinode,
+    MarkedGraph, caterpillar, cli, dumbbell, enumerate_stable, lattice,
+    moduli, theta_graph, trinode,
 )
 from verkit.cli import build_parser, main
 from verkit.errors import NumericalResidual
@@ -331,6 +331,18 @@ def test_non_integer_weight_is_domain_error(cat_file, capsys):
                  "--level", "2"])
     assert code == 2
     assert "BadWeighting" in capsys.readouterr().err
+
+
+def test_odd_weights_on_a_non_trivalent_graph_exit_two(tmp_path, capsys):
+    # the odd leg sum would count 0 on a trivalent graph; this one has a
+    # four-valent vertex, and the count refuses it
+    graph = next(g for g in enumerate_stable(0, 4) if g._not_trivalent())
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(graph.to_json()))
+    code = main(["count", "--graph", str(path), "--weights", "1,0,0,0",
+                 "--level", "2"])
+    assert code == 2
+    assert "NonTrivalentGraph" in capsys.readouterr().err
 
 
 def test_graph_file_not_utf8_is_input_error(tmp_path, capsys):

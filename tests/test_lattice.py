@@ -30,6 +30,7 @@ from verkit import (
     degree_one_generation_check,
     dumbbell,
     enumerate_points,
+    enumerate_stable,
     enumerate_trivalent,
     gorenstein_check,
     interior_points,
@@ -412,6 +413,46 @@ def test_odd_sum_zero_on_loop_graphs():
         assert count_points(g, (r,), 6) == 0
 
 
+ACCEPTANCE_SIGNATURES = [(0, 4), (0, 5), (0, 6), (1, 1), (1, 2), (2, 0), (2, 1)]
+
+
+def test_contraction_gives_zero_where_the_parity_exit_answers():
+    # count_points answers an odd leg sum with 0 before contracting; the
+    # contraction itself still gives 0 on every such query, loops included.
+    # The 105 six-leg trees stop at level 2: all their odd sums up to
+    # level 4 would take about a million contractions.
+    graphs = [cls for g, n in ACCEPTANCE_SIGNATURES
+              for cls in enumerate_trivalent(g, n)]
+    graphs += [standard_graph(g, n) for g in range(4) for n in range(5)
+               if 2 * g - 2 + n > 0]
+    checked = 0
+    for graph in graphs:
+        plan = lattice._plan(graph)
+        for L in range(3 if graph.n_legs == 6 else 5):
+            for legs in itertools.product(range(L + 1), repeat=graph.n_legs):
+                if sum(legs) % 2:
+                    assert lattice._contract(plan, L, legs) == 0
+                    checked += 1
+    assert checked == 78_777
+
+
+def test_parity_exit_hides_no_error():
+    # each query has an odd leg sum, which would count 0 if it were valid
+    stable = [g for g in enumerate_stable(0, 5) if g._not_trivalent()]
+    assert stable
+    for graph in stable:
+        with pytest.raises(NonTrivalentGraph):
+            count_points(graph, (1, 0, 0, 0, 0), 2)
+    for legs in [(1, 0), (1, 0, 0, 0), {1: 1, 2: 0, 4: 0}]:
+        with pytest.raises(GraphMismatch):
+            count_points(trinode(), legs, 2)
+    for legs, L in [((1.0, 0, 0), 2), ((True, 0, 0), 2),
+                    ((1, 0, 0), 1.0), ((1, 0, 0), True)]:
+        with pytest.raises(BadWeighting):
+            count_points(trinode(), legs, L)
+    assert count_points(trinode(), (1, 0, 0), 2) == 0
+
+
 def test_count_cox_values():
     t = trinode()
     assert [count_cox(t, L) for L in range(5)] == [1, 4, 10, 20, 35]
@@ -533,13 +574,18 @@ def _assert_narrowest(seen, graph, level, legs_summed=False):
 def _glued(graph, r, level, seen):
     """The count on trinode glued to graph at its first leg: the sum over
     the middle weight m of the two counts.  Checks the dtypes of each of
-    graph's contractions (the trinode has no step)."""
+    graph's contractions (the trinode has no step), and that a call with
+    an odd leg sum contracts nothing."""
     total = 0
     for m in range(level + 1):
+        legs = (m,) + r[2:]
         total += count_points(trinode(), (r[0], r[1], m), level) * count_points(
-            graph, (m,) + r[2:], level
+            graph, legs, level
         )
-        _assert_narrowest(seen, graph, level)
+        if sum(legs) % 2:
+            assert seen == []
+        else:
+            _assert_narrowest(seen, graph, level)
     return total
 
 
