@@ -496,6 +496,12 @@ def count_classical(tree: MarkedGraph, leaf_weights) -> int:
     walk with values up to that sum, every counted weighting tested at
     every vertex; independent of the level-truncated routes.  The cap
     judges the a-priori count (sum + 1)^E.
+
+    count_points(tree, leaf_weights, L) equals this count for every level
+    L >= ceil(sum / 2).  Cutting the tree at a vertex leaves three sides
+    with disjoint leaves, and each of the vertex's weights a, b, c is at
+    most the leaf sum of its side, so 2 * max(a, b, c) <= a + b + c <= sum
+    <= 2 * L: the classical conditions imply the level ones.
     """
     require_tree(tree)
     require_trivalent(tree)

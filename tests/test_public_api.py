@@ -1,6 +1,15 @@
 from __future__ import annotations
 
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
 import verkit
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # Adding or removing a public name is a deliberate edit of this list.
 PUBLIC = [
@@ -69,3 +78,34 @@ PUBLIC = [
 def test_public_surface_is_pinned():
     assert sorted(verkit.__all__) == PUBLIC
     assert [name for name in PUBLIC if not hasattr(verkit, name)] == []
+
+
+def _imported(directory):
+    """Top-level names imported anywhere in the modules under directory."""
+    names = set()
+    for path in (ROOT / directory).rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def test_code_imports_only_declared_dependencies():
+    # An installed but undeclared package would pass here and fail on a
+    # clean install; the library may use only the runtime dependencies.
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+
+    def names(requirements):
+        return {re.match(r"[\w.-]+", req)[0].lower().replace("-", "_")
+                for req in requirements}
+
+    runtime = names(project["dependencies"])
+    testing = runtime | names(project["optional-dependencies"]["test"])
+    local = {path.stem for path in (ROOT / "perfbench").glob("*.py")}
+    for directory, declared in [("src/verkit", runtime), ("tests", testing),
+                                ("perfbench", testing)]:
+        found = _imported(directory) - set(sys.stdlib_module_names) - {"verkit"}
+        assert found - local - declared == set(), directory

@@ -1,11 +1,10 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from verkit import semigroup
 
@@ -327,17 +326,16 @@ def test_filtration_graph_mismatch():
             filtration_value(w, theta)
 
 
-weights4 = st.tuples(*[st.integers(min_value=0, max_value=5)] * 4)
-
-
-@settings(max_examples=60, deadline=None)
-@given(a=weights4, b=weights4, e1=st.integers(0, 5), e2=st.integers(0, 5))
-def test_filtration_additive(a, b, e1, e2):
+def test_filtration_additive():
+    # 6**10 weight choices are too many to walk; 1,000 seeded draws instead
+    rng = random.Random(19)
     cat = caterpillar(4)
     theta = new_functional(cat, (Fraction(1, 2),), (1, 2, 0, Fraction(3, 4)))
-    w1 = LevelledWeighting(cat, (e1,), a, 3)
-    w2 = LevelledWeighting(cat, (e2,), b, 2)
-    assert filtration_value(w1 + w2, theta) == filtration_value(
-        w1, theta
-    ) + filtration_value(w2, theta)
-    assert filtration_value(w1.scaled(3), theta) == 3 * filtration_value(w1, theta)
+    for _ in range(1000):
+        e1, e2, *legs = (rng.randint(0, 5) for _ in range(10))
+        w1 = LevelledWeighting(cat, (e1,), tuple(legs[:4]), 3)
+        w2 = LevelledWeighting(cat, (e2,), tuple(legs[4:]), 2)
+        assert filtration_value(w1 + w2, theta) == filtration_value(
+            w1, theta
+        ) + filtration_value(w2, theta)
+        assert filtration_value(w1.scaled(3), theta) == 3 * filtration_value(w1, theta)
