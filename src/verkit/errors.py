@@ -55,10 +55,11 @@ class NotATree(VerkitError):
 
 
 class InstanceTooLarge(VerkitError):
-    """Work past a fixed cap, refused before it starts: a literal walk of
-    more than 10**8 assignments, a tensor contraction holding an array of
-    more than 2**26 entries, or a Verlinde level loop of more than 2**20
-    terms."""
+    """Work past a fixed cap: a literal walk of more than 10**8
+    assignments, a tensor contraction holding an array of more than 2**26
+    entries, or a Verlinde level loop of more than 2**20 terms, each
+    refused before it starts; or a canonical label search that encodes
+    more than 10**4 leaves, refused as it runs."""
 
 
 class BadWeighting(VerkitError):

@@ -31,6 +31,7 @@ from .errors import (
     BadWeighting,
     DanglingReference,
     DisconnectedGraph,
+    InstanceTooLarge,
     IsLeg,
     NonTrivalentGraph,
     NotATree,
@@ -149,9 +150,14 @@ class MarkedGraph:
         vertex).  While a cell has more than one vertex, individualize
         each vertex of the least such cell in turn, refine, and recurse.
         Every branch of the search tree ends in a vertex order, and the
-        least encoding over all of them wins, so there is no work cap.  No
-        use of hash(), so labels are stable across processes and
-        platforms.
+        label is the least encoding over all of them.  Two leaves with
+        equal encodings give an automorphism; the search skips a vertex
+        of a cell in the orbit of a vertex already tried there, under the
+        automorphisms found so far that fix the vertices individualized
+        above the cell, since its subtree is an image of one already
+        visited and holds the same encodings.  Past ``_LEAF_CAP`` encoded
+        leaves the search raises InstanceTooLarge.  No use of hash(), so
+        labels are stable across processes and platforms.
         """
         index = {vid: i for i, (vid, _) in enumerate(self.vertices)}
         n = len(index)
@@ -178,56 +184,17 @@ class MarkedGraph:
             valence[i] += 1
         genus = [g for _, g in self.vertices]
 
-        def rank(keys):
-            order = {k: r for r, k in enumerate(sorted(set(keys)))}
-            return [order[k] for k in keys], len(order)
-
-        def refine(colors, count):
-            # The key sorts by the old colour first, so an unchanged count
-            # means unchanged colours, and a discrete colouring is final.
-            while count < n:
-                new_colors, new_count = rank([
-                    (c, tuple(sorted([colors[u] for u in nbrs])))
-                    for c, nbrs in zip(colors, neighbors)
-                ])
-                if new_count == count:
-                    break
-                colors, count = new_colors, new_count
-            return colors, count
-
-        def encode(pi):
-            genus_seq = [0] * n
-            for i, g in enumerate(genus):
-                genus_seq[pi[i]] = g
-            edge_enc = sorted(
-                (pi[i], pi[j]) if pi[i] <= pi[j] else (pi[j], pi[i])
-                for i, j in edges
-            )
-            leg_enc = [pi[i] for i in legs]
-            return (tuple(genus_seq), tuple(edge_enc), tuple(leg_enc))
-
-        def search(colors, count):
-            colors, count = refine(colors, count)
-            if count == n:  # discrete: colours are the vertex order
-                return encode(colors)
-            size = [0] * count
-            for c in colors:
-                size[c] += 1
-            least = next(c for c, s in enumerate(size) if s > 1)
-            # Individualizing v ranks the keys (colour, u != v): the colours
-            # below the cell are single vertices and keep their ranks, v
-            # takes the cell's rank and every other vertex moves up one.
-            up = [c if c < least else c + 1 for c in colors]
-            return min(
-                search(up[:v] + [least] + up[v + 1:], count + 1)
-                for v in range(n)
-                if colors[v] == least
-            )
-
-        return repr(search(*rank([
+        colors, count = _refine(*_rank([
             (genus[i], valence[i], tuple(sorted(legs_at[i])), loops[i])
             for i in range(n)
-        ]))).encode("ascii")
+        ]), neighbors)
+        if count == n:  # discrete: the colours are the vertex order
+            least = _encode(colors, genus, edges, legs)
+        else:
+            found = _Found()
+            _search(colors, count, (), (neighbors, genus, edges, legs), found)
+            least = found.least
+        return repr(least).encode("ascii")
 
     def canonical_hex(self) -> str:
         return self.canonical_label.hex()
@@ -271,6 +238,130 @@ class MarkedGraph:
             lines.append(f"  v{vid} -- leg{lab};")
         lines.append("}")
         return "\n".join(lines)
+
+
+# -- canonical labelling ---------------------------------------------------
+
+# Leaves the label search may encode before it refuses.  The pruned search
+# encodes at most 8 on the stable classes of (0,3)..(0,8), (1,1)..(1,4),
+# (2,0)..(2,2), (3,0), (3,1) and (4,0), and 25 on the genus-24 tree with a
+# loop on each leaf, whose unpruned search has 3! * 2**21 leaves.
+_LEAF_CAP = 10**4
+
+
+def _rank(keys: list) -> tuple[list[int], int]:
+    """Each key's rank among the distinct keys, and the number of them."""
+    order = {k: r for r, k in enumerate(sorted(set(keys)))}
+    return [order[k] for k in keys], len(order)
+
+
+def _refine(
+    colors: list[int], count: int, neighbors: list[list[int]]
+) -> tuple[list[int], int]:
+    """Refine by the sorted colours of each vertex's neighbours until the
+    number of colours stops growing."""
+    n = len(colors)
+    # The key sorts by the old colour first, so an unchanged count means
+    # unchanged colours, and a discrete colouring is final.
+    while count < n:
+        new_colors, new_count = _rank([
+            (c, tuple(sorted([colors[u] for u in nbrs])))
+            for c, nbrs in zip(colors, neighbors)
+        ])
+        if new_count == count:
+            break
+        colors, count = new_colors, new_count
+    return colors, count
+
+
+def _encode(pi: list[int], genus: list[int], edges: list, legs: list) -> tuple:
+    """The graph with vertex i renamed pi[i]: genus by new vertex, sorted
+    edges, and the vertex of each leg in label order."""
+    genus_seq = [0] * len(pi)
+    for i, g in enumerate(genus):
+        genus_seq[pi[i]] = g
+    edge_enc = sorted(
+        (pi[i], pi[j]) if pi[i] <= pi[j] else (pi[j], pi[i])
+        for i, j in edges
+    )
+    return (tuple(genus_seq), tuple(edge_enc), tuple([pi[i] for i in legs]))
+
+
+class _Found:
+    """A label search so far: the least encoding, the inverse of the vertex
+    order that gave it, the automorphisms that ties with it gave, and the
+    number of leaves encoded."""
+
+    __slots__ = ("least", "inverse", "autos", "leaves")
+
+    def __init__(self) -> None:
+        self.least = self.inverse = None
+        self.autos: list[list[int]] = []
+        self.leaves = 0
+
+
+def _root(parent: list[int], v: int) -> int:
+    while parent[v] != v:
+        v = parent[v]
+    return v
+
+
+def _search(
+    colors: list[int], count: int, fixed: tuple[int, ...], graph: tuple,
+    found: _Found,
+) -> None:
+    """Visit the subtree of the node that individualized ``fixed`` in turn
+    and refined to ``colors``, recording its leaves in ``found``.
+
+    ``graph`` is (neighbours, genus, edges, legs) on vertex indices."""
+    if count == len(colors):  # a leaf: the colours are the vertex order
+        found.leaves += 1
+        if found.leaves > _LEAF_CAP:
+            raise InstanceTooLarge(
+                f"canonical label search exceeds the cap {_LEAF_CAP} on "
+                f"leaves"
+            )
+        code = _encode(colors, *graph[1:])
+        if found.least is None or code < found.least:
+            inverse = [0] * count
+            for v, c in enumerate(colors):
+                inverse[c] = v
+            found.least, found.inverse = code, inverse
+        elif code == found.least:
+            inverse = found.inverse
+            found.autos.append([inverse[c] for c in colors])
+        return
+    size = [0] * count
+    for c in colors:
+        size[c] += 1
+    least = next(c for c, s in enumerate(size) if s > 1)
+    # Individualizing v ranks the keys (colour, u != v): the colours below
+    # the cell are single vertices and keep their ranks, v takes the cell's
+    # rank and every other vertex moves up one.
+    up = [c if c < least else c + 1 for c in colors]
+    cell = [v for v, c in enumerate(colors) if c == least]
+    # An automorphism that fixes ``fixed`` pointwise maps this node to
+    # itself, so it permutes the cell and maps the subtree below v onto the
+    # subtree below its image.  parent holds the orbits of those found on
+    # the cell, each rooted at its least vertex.  The cell is tried in
+    # increasing order, so a vertex that is not the root of its orbit
+    # shares it with a vertex tried before, and its subtree is skipped.
+    parent = list(range(len(colors)))
+    merged = 0
+    for v in cell:
+        for gamma in found.autos[merged:]:
+            if all(gamma[u] == u for u in fixed):
+                for u in cell:
+                    a, b = _root(parent, u), _root(parent, gamma[u])
+                    if a != b:
+                        parent[max(a, b)] = min(a, b)
+        merged = len(found.autos)
+        if _root(parent, v) != v:
+            continue
+        _search(
+            *_refine(up[:v] + [least] + up[v + 1:], count + 1, graph[0]),
+            fixed + (v,), graph, found,
+        )
 
 
 def _integer(

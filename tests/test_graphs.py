@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import hashlib
 import itertools
 import json
 import random
@@ -12,17 +14,20 @@ from verkit import (
     BadLegLabels,
     DanglingReference,
     DisconnectedGraph,
+    InstanceTooLarge,
     IsLeg,
     MarkedGraph,
     UnstableVertex,
     are_isomorphic,
     caterpillar,
     dumbbell,
+    graphs,
     loop_with_leg,
     new_graph,
     theta_graph,
     trinode,
 )
+from verkit.cli import main
 
 
 def test_stock_graph_signatures():
@@ -188,6 +193,46 @@ def _cubic(edges):
                      edges, [])
 
 
+def _generalized_petersen(n, k):
+    """Outer n-cycle, spokes, and inner vertices joined k apart."""
+    return _cubic([(i, (i + 1) % n) for i in range(n)]
+                  + [(i, n + i) for i in range(n)]
+                  + [(n + i, n + (i + k) % n) for i in range(n)])
+
+
+def _loop_tree(depth):
+    """A ternary root, binary below it, and a loop at every leaf: a
+    trivalent graph of genus 3 * 2**(depth - 1)."""
+    vertices, edges, frontier = [(0, 0)], [], [0]
+    for d in range(depth):
+        children = []
+        for parent in frontier:
+            for _ in range(3 if d == 0 else 2):
+                child = len(vertices)
+                vertices.append((child, 0))
+                edges.append((parent, child))
+                children.append(child)
+        frontier = children
+    return new_graph(vertices, edges + [(v, v) for v in frontier], [])
+
+
+SYMMETRIC = {
+    "K4": _cubic([(a, b) for a in range(4) for b in range(a + 1, 4)]),
+    "K33": _cubic([(a, b) for a in range(3) for b in range(3, 6)]),
+    "cube": _generalized_petersen(4, 1),
+    "petersen": _generalized_petersen(5, 2),
+    "prism": _generalized_petersen(5, 1),
+    "heawood": _cubic([(i, (i + 1) % 14) for i in range(14)]
+                      + [(i, (i + 5) % 14) for i in range(0, 14, 2)]),
+    "moebius_kantor": _generalized_petersen(8, 3),
+    "desargues": _generalized_petersen(10, 3),
+    "nauru": _generalized_petersen(12, 5),
+    "dodecahedron": _generalized_petersen(10, 2),
+    "loop_tree_2": _loop_tree(2),
+    "loop_tree_3": _loop_tree(3),
+}
+
+
 def _relabeled(graph, seed):
     rng = random.Random(seed)
     ids = [vid for vid, _ in graph.vertices]
@@ -198,17 +243,70 @@ def _relabeled(graph, seed):
 
 
 def test_canonical_label_on_vertex_transitive_graphs():
-    ring = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    petersen = _cubic(ring + spokes + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
-    prism = _cubic(ring + spokes + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
-    cube = _cubic([(a, b) for a in range(8) for b in range(a + 1, 8)
-                   if bin(a ^ b).count("1") == 1])
+    petersen, prism, cube = (SYMMETRIC[k] for k in ("petersen", "prism", "cube"))
     for graph in (petersen, prism, cube):
         for seed in range(3):
             assert _relabeled(graph, seed).canonical_label == graph.canonical_label
     assert petersen.signature() == prism.signature() == (6, 0)
     assert petersen.canonical_label != prism.canonical_label
+
+
+def test_labels_of_symmetric_graphs_are_pinned():
+    """The labels of these graphs hash to the digest the unpruned search
+    gave them: pruning by automorphisms keeps every byte."""
+    labels = [g.canonical_label for g in SYMMETRIC.values()]
+    assert hashlib.sha256(b"\n".join(labels)).hexdigest() == (
+        "b04a2fc33f6d13c5ee4938e49f4658adabcaba92824bd50bfb3939733d2a11fd"
+    )
+    for graph, label in zip(SYMMETRIC.values(), labels):
+        for seed in range(5):
+            assert _relabeled(graph, seed).canonical_label == label
+
+
+def test_label_search_is_bounded_by_leaves(monkeypatch, tmp_path, capsys):
+    """Work is counted in leaves, not timed.  The depth-4 loop-leaved tree
+    has 3! * 2**21 automorphisms, each a leaf of the unpruned search; the
+    pruned one labels it under the default cap."""
+    tree = _loop_tree(4)
+    assert tree.signature() == (24, 0)
+    assert tree.canonical_label == _relabeled(tree, 0).canonical_label
+    tree_file = tmp_path / "tree.json"
+    tree_file.write_text(json.dumps(tree.to_json()))
+    code = main(["hilbert", "--graph", str(tree_file), "--grading", "cox",
+                 "--max", "2", "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["graph"] == tree.canonical_hex()
+
+    # Every graph here has at least 20 automorphisms, so 16 leaves are
+    # fewer than the unpruned search visits on any of them.
+    monkeypatch.setattr(graphs, "_LEAF_CAP", 16)
+    for graph in SYMMETRIC.values():
+        _relabeled(graph, 1).canonical_label
+
+    monkeypatch.setattr(graphs, "_LEAF_CAP", 2)
+    petersen = _relabeled(SYMMETRIC["petersen"], 2)
+    with pytest.raises(InstanceTooLarge, match="cap 2"):
+        petersen.canonical_label
+    petersen_file = tmp_path / "petersen.json"
+    petersen_file.write_text(json.dumps(petersen.to_json()))
+    code = main(["hilbert", "--graph", str(petersen_file), "--grading", "cox",
+                 "--max", "1", "--json"])
+    assert code == 2
+    assert "InstanceTooLarge" in capsys.readouterr().err
+    assert caterpillar(8).canonical_label  # a discrete root encodes one leaf
+
+
+def test_labelling_leaves_no_cyclic_garbage():
+    graphs_ = [_relabeled(SYMMETRIC["K33"], 3),
+               _relabeled(SYMMETRIC["petersen"], 3), caterpillar(8)]
+    gc.collect()
+    gc.disable()
+    try:
+        for graph in graphs_:
+            graph.canonical_label
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_from_json_rejects_malformed_documents():
