@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
 from functools import partial
 
 from .errors import (
@@ -70,6 +71,12 @@ def _dumps(data) -> str:
     return json.dumps(data, separators=(",", ":"))
 
 
+def _decimal(value: int) -> str:
+    """The exact decimal of a count, however long: str() refuses an int of
+    more than sys.get_int_max_str_digits() digits, Decimal does not."""
+    return format(Decimal(value), "f")
+
+
 def _show(args, doc, lines) -> int:
     """Print doc as compact JSON under --json, else the lines."""
     if args.json:
@@ -89,13 +96,14 @@ def _cmd_verlinde(args) -> int:
     }
     r = _parse_weights(args.weights)
     names = list(routes) if args.method == "all" else [args.method]
-    values = {name: routes[name](args.genus, r, args.level) for name in names}
+    values = {name: _decimal(routes[name](args.genus, r, args.level))
+              for name in names}
     agree = len(set(values.values())) == 1
     doc = {"genus": args.genus, "weights": list(r), "level": args.level}
     if args.method == "all":
-        doc.update(values={k: str(v) for k, v in values.items()}, agree=agree)
+        doc.update(values=values, agree=agree)
     else:
-        doc.update(method=args.method, value=str(values[args.method]))
+        doc.update(method=args.method, value=values[args.method])
     _show(args, doc, values.values())
     if not agree:
         print(f"methods disagree: {values}", file=sys.stderr)
@@ -105,9 +113,9 @@ def _cmd_verlinde(args) -> int:
 
 def _cmd_count(args) -> int:
     fn = count_points_bruteforce if args.brute else count_points
-    value = fn(_load_graph(args.graph), _parse_weights(args.weights),
-               args.level)
-    return _show(args, {"value": str(value)}, [value])
+    value = _decimal(fn(_load_graph(args.graph), _parse_weights(args.weights),
+                        args.level))
+    return _show(args, {"value": value}, [value])
 
 
 def _cmd_points(args) -> int:
@@ -131,7 +139,8 @@ def _cmd_hilbert(args) -> int:
             args.base_level, args.max,
         )
     # the document labels the graph canonically: build it only when shown
-    return _show(args, table.to_json() if args.json else None, table.values)
+    return _show(args, table.to_json() if args.json else None,
+                 map(_decimal, table.values))
 
 
 def _cmd_check(check, count_key: str, args) -> int:

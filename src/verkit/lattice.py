@@ -49,7 +49,7 @@ import json
 import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -283,7 +283,13 @@ def _plan(graph: MarkedGraph) -> tuple:
     return plan
 
 
-@lru_cache(maxsize=None)
+# Entries of T up to which a level's vertex factors stay cached: levels
+# 0..63, about 35 MB in all.  A higher level is built on each call, which
+# costs little next to contracting at that level.
+_KERNEL_CACHE_ENTRIES = 2**18
+_kernel_cache: dict[int, tuple] = {}
+
+
 def _kernels(level: int) -> tuple:
     """The level's two vertex factors (T, D), in float64.
 
@@ -291,8 +297,12 @@ def _kernels(level: int) -> tuple:
     in its three slots: the factor of a vertex without a loop.  D = W_{1,1}
     is its loop trace D[x] = sum_a T[a, a, x], the factor of a vertex with
     one.  A vertex's legs are its factor's last axes; _contract fixes or
-    sums them.  Entries are at most level + 1.
+    sums them.  Entries are at most level + 1.  Kept while T has at most
+    _KERNEL_CACHE_ENTRIES entries, built anew above that.
     """
+    kernels = _kernel_cache.get(level)
+    if kernels is not None:
+        return kernels
     r = np.arange(level + 1)
     a, b, c = r[:, None, None], r[None, :, None], r[None, None, :]
     ok = (
@@ -302,7 +312,10 @@ def _kernels(level: int) -> tuple:
         & (a + b + c <= 2 * level)
     )
     t = ok.astype(np.float64)
-    return t, t[r, r].sum(axis=0)
+    kernels = t, t[r, r].sum(axis=0)
+    if t.size <= _KERNEL_CACHE_ENTRIES:
+        _kernel_cache[level] = kernels
+    return kernels
 
 
 def _exact_dtype(bound: int):

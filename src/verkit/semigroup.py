@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from operator import sub
 from typing import Iterator
@@ -53,7 +54,8 @@ class HilbertTable:
             "graph": self.graph.canonical_hex(),
             "grading": self.grading,
             "base": base,
-            "values": [str(v) for v in self.values],
+            # exact at any length, where str() stops at 4,300 digits
+            "values": [format(Decimal(v), "f") for v in self.values],
         }
 
 

@@ -5,9 +5,11 @@ genus g with n legs weighted r; the answer does not depend on the graph.
 Routes:
 
   * :func:`verlinde` -- tensor contraction on a fixed standard graph;
-  * :func:`verlinde_factor` -- the literal factorization sum (products of
-    fusion coefficients over all internal labelings; at (0,4) this is
-    exactly :func:`factorization_4point`);
+  * :func:`verlinde_factor` -- the factorization sum.  The count factors
+    through every boundary stratum of the moduli space, so it is sewn one
+    node at a time from the level's 0/1 fusion matrices N_a:
+    (e_0 . H^g . N_{r_1} ... N_{r_n})[0] with the handle H = sum_a N_a N_a
+    (at (0,4) this is exactly :func:`factorization_4point`'s sum);
   * :func:`verlinde_closed_form` -- the trigonometric formula
     ((L+2)/2)^(g-1) * sum_j prod_i sin((r_i+1) j pi/(L+2))
                       * sin(j pi/(L+2))^(2-2g-n).
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import mul
 
 from .errors import InstanceTooLarge, NumericalResidual
 from .graphs import (
@@ -32,16 +35,15 @@ from .graphs import (
     loop_with_leg,
     new_graph,
 )
-from .lattice import (
-    _integer,
-    admissible_triple_level,
-    count_points,
-    count_points_bruteforce,
-)
+from .lattice import _integer, admissible_triple_level, count_points
 
 # Terms a level loop may take, one per weight 0..L: past it the closed
 # form's term list alone would hold tens of MB.
 _LEVEL_CAP = 2**20
+# Loop steps the sewing sum may take, judged a priori: d**4 + d**3 +
+# (g + n) * d**2 with d = L + 1.  The cap admits level 98 at genus 0,
+# which takes ~0.4 s on one core of a 2-vCPU VM.
+_SEW_CAP = 10**8
 
 
 def _cap_level(level: int) -> None:
@@ -119,16 +121,52 @@ def verlinde(genus: int, leaf_weights, level: int) -> int:
 
 
 def verlinde_factor(genus: int, leaf_weights, level: int) -> int:
-    """The explicit factorization sum: independent of the tensor route.
+    """The factorization sum, sewn one boundary stratum at a time.
 
-    At genus 0 with four legs this is the textbook two-trinode sum; in
-    general it is the same product-of-fusion-coefficients sum carried out
-    by literal enumeration of internal labelings.
+    With d = L + 1 weights 0..L, N_a is the d x d matrix with N_a[b][c] =
+    1 when (a, b, c) is admissible at level L, and H = sum_a N_a N_a sews
+    one non-separating node (a handle).  Then
+
+        V_g,n(r, L) = (e_0 . H^g . N_{r_1} ... N_{r_n})[0],
+
+    summed literally in Python ints: a row vector starts at the trivial
+    weight, takes g handles and then one leg at a time, and is read at the
+    trivial weight.  At (0,4) this is factorization_4point's sum.  It runs
+    no contraction and no walk, so it is independent of both.
+
+    Leaf weights outside 0..level give 0.  InstanceTooLarge when L + 1
+    exceeds the level-loop cap of 2**20, and then when the a-priori step
+    count d**4 + d**3 + (g + n) * d**2 exceeds the sewing cap of 10**8:
+    d**3 admissibility tests, at most d**4 steps to build H, and d**2 per
+    handle and per leg.
     """
     genus, r, L = _normalize(genus, leaf_weights, level)
-    if genus == 0 and len(r) == 4:
-        return factorization_4point(r[0], r[1], r[2], r[3], L)
-    return count_points_bruteforce(standard_graph(genus, len(r)), r, L)
+    if L < 0 or any(x < 0 or x > L for x in r):
+        return 0  # same convention as the counting routes
+    _cap_level(L)
+    d = L + 1
+    steps = d**4 + d**3 + (genus + len(r)) * d**2
+    if steps > _SEW_CAP:
+        raise InstanceTooLarge(
+            f"{steps} sewing steps at level {L} exceeds the cap {_SEW_CAP}"
+        )
+    weights = range(d)
+    # fuse[a][b]: the weights c with N_a[b][c] = 1
+    fuse = [[[c for c in weights if admissible_triple_level(a, b, c, L)]
+             for b in weights] for a in weights]
+    handle = [[0] * d for _ in weights]
+    for a in weights:
+        for b in weights:
+            for m in fuse[a][b]:
+                for c in fuse[a][m]:
+                    handle[b][c] += 1
+    v = [1] + [0] * L
+    # N_a and H are symmetric, so v . M is M's rows against v
+    for _ in range(genus):
+        v = [sum(map(mul, row, v)) for row in handle]
+    for x in r:
+        v = [sum(v[b] for b in fuse[x][c]) for c in weights]
+    return v[0]
 
 
 def verlinde_closed_form(genus: int, leaf_weights, level: int) -> int:

@@ -7,6 +7,7 @@ import json
 import shlex
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
@@ -528,3 +529,39 @@ def test_stdout_and_exit_codes_are_pinned(tmp_path, monkeypatch, capsys):
     assert digest == (
         "6ebdc9b0752e57823354ea16f57537a78766ef564f7e1c6e21b845e63c800420"
     )
+
+
+def test_factor_route_answers_where_the_walk_refused(capsys):
+    code = main(["verlinde", "--genus", "5", "--weights", "", "--level", "4",
+                 "--method", "all"])
+    assert code == 0
+    assert capsys.readouterr().out == "42065\n" * 3
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_counts_past_the_str_digit_limit_print_in_full(
+        json_flag, monkeypatch, capsys, trinode_file):
+    # str() refuses an int of more than 4,300 digits by default
+    huge = 10**5000
+    monkeypatch.setattr(cli, "verlinde", lambda *args: huge)
+    monkeypatch.setattr(importlib.import_module("verkit.semigroup"),
+                        "count_cox", lambda graph, level: huge)
+    for argv in [["verlinde", "--genus", "1", "--level", "2"],
+                 ["hilbert", "--graph", trinode_file, "--grading", "cox",
+                  "--max", "0"]]:
+        assert main(argv + json_flag) == 0
+        out = capsys.readouterr().out
+        if json_flag:
+            doc = json.loads(out)
+            out = doc["value"] if "value" in doc else doc["values"][0]
+        assert out.strip() == "1" + "0" * 5000
+
+
+def test_sewn_count_of_6021_digits_prints_exactly(capsys):
+    # at level 1 every handle doubles the count: V_g = 2**g
+    code = main(["verlinde", "--genus", "20000", "--weights", "",
+                 "--level", "1", "--method", "factor"])
+    assert code == 0
+    out = capsys.readouterr().out.strip()
+    assert len(out) == 6021 and out.isdigit()
+    assert int(Decimal(out)) == 2**20000

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import itertools
 import json
+import math
 import random
 import weakref
 from functools import partial
@@ -347,6 +348,18 @@ def test_tensor_route_refuses_what_it_cannot_hold(monkeypatch):
         with pytest.raises(Built):
             call()
 
+
+
+def test_level_cache_is_bounded():
+    # a sweep to level 120 used to keep every T, ~400 MB; now T is kept
+    # only while it has at most 2**18 entries (levels 0..63, ~35 MB)
+    values = semigroup.hilbert_cox(trinode(), 120).values
+    assert values == tuple(math.comb(L + 3, 3) for L in range(121))
+    cache = lattice._kernel_cache
+    assert set(cache) == set(range(64))
+    held = sum(t.nbytes + d.nbytes for t, d in cache.values())
+    assert held == 8 * sum(n**3 + n for n in range(1, 65)) < 35 * 10**6
+    assert lattice._kernels(120)[0] is not lattice._kernels(120)[0]
 
 def test_count_classical_examples():
     assert count_classical(trinode(), (1, 1, 0)) == 1

@@ -309,3 +309,69 @@ def test_closed_form_never_negative():
             v = verlinde_closed_form(0, r, L)
             assert v >= 0
             assert v == verlinde(0, r, L)
+
+
+def _agrees_with_other_routes(g, r, L):
+    want = verlinde(g, r, L)
+    assert verlinde_factor(g, r, L) == want, (g, r, L)
+    try:
+        closed = verlinde_closed_form(g, r, L)
+    except NumericalResidual:
+        return
+    assert closed == want, (g, r, L)
+
+
+def test_sewing_route_matches_on_every_small_signature():
+    # every r with g <= 3, n <= 3, L <= 6: 3,836 queries
+    for L in range(7):
+        for g in range(4):
+            for n in range(4):
+                for r in itertools.product(range(L + 1), repeat=n):
+                    _agrees_with_other_routes(g, r, L)
+
+
+def test_sewing_route_matches_on_seeded_draws():
+    rng = random.Random(21)
+    for _ in range(300):
+        g, n, L = rng.randrange(7), rng.randrange(5), rng.randrange(11)
+        _agrees_with_other_routes(
+            g, tuple(rng.randrange(L + 1) for _ in range(n)), L)
+
+
+def test_sewing_route_runs_no_walk_and_no_contraction(monkeypatch):
+    # the three signatures the walk's cap refused when this route used it
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sewing route left its own code")
+
+    monkeypatch.setattr(importlib.import_module("verkit.lattice"), "_walk",
+                        refuse)
+    verlinde_module = importlib.import_module("verkit.verlinde")
+    monkeypatch.setattr(verlinde_module, "count_points", refuse)
+    monkeypatch.setattr(verlinde_module, "_standard_graph", refuse)
+    assert verlinde_factor(4, (), 7) == 117072
+    assert verlinde_factor(5, (), 4) == 42065
+    assert verlinde_factor(6, (), 3) == 40000
+    assert verlinde_factor(0, (1, 2, 1, 2), 3) == factorization_4point(
+        1, 2, 1, 2, 3)
+
+
+def test_sewing_cap_refuses_before_any_admissibility_test(monkeypatch):
+    verlinde_module = importlib.import_module("verkit.verlinde")
+    # (0, (1, 1, 0), 1) takes 2**4 + 2**3 + 3 * 2**2 = 36 steps, and a
+    # fourth leg 4 more
+    monkeypatch.setattr(verlinde_module, "_SEW_CAP", 36)
+    assert verlinde_factor(0, (1, 1), 1) == 1
+    with pytest.raises(InstanceTooLarge, match="40 sewing steps .* cap 36"):
+        verlinde_factor(0, (1, 1, 0, 0), 1)
+
+    def refuse(*args):
+        raise AssertionError("tested admissibility past the cap")
+
+    monkeypatch.setattr(verlinde_module, "admissible_triple_level", refuse)
+    monkeypatch.setattr(verlinde_module, "_SEW_CAP", 2)
+    for g, r, L in [(0, (), 0), (5, (), 4), (1, (2,), 9)]:
+        with pytest.raises(InstanceTooLarge, match="exceeds the cap 2"):
+            verlinde_factor(g, r, L)
+    # the out-of-range answers come before the cap
+    assert verlinde_factor(0, (5,), 4) == 0
+    assert verlinde_factor(2, (), -1) == 0
