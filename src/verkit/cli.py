@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from decimal import Decimal
 from functools import partial
 
 from .errors import (
@@ -37,6 +36,7 @@ from .moduli import (
     hasse_dot,
 )
 from .semigroup import (
+    _decimal,
     degree_one_generation_check,
     gorenstein_check,
     hilbert_cox,
@@ -69,12 +69,6 @@ def _load_graph(path: str) -> MarkedGraph:
 
 def _dumps(data) -> str:
     return json.dumps(data, separators=(",", ":"))
-
-
-def _decimal(value: int) -> str:
-    """The exact decimal of a count, however long: str() refuses an int of
-    more than sys.get_int_max_str_digits() digits, Decimal does not."""
-    return format(Decimal(value), "f")
 
 
 def _show(args, doc, lines) -> int:

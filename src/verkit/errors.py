@@ -58,8 +58,8 @@ class InstanceTooLarge(VerkitError):
     """Work past a fixed cap: a literal walk of more than 10**8
     assignments, a tensor contraction holding an array of more than 2**26
     entries, a Verlinde level loop of more than 2**20 terms, or a sewing
-    sum (verlinde_factor) of more than 10**8 steps, each refused before it
-    starts; or a canonical label search that encodes more than 10**4
+    sum (verlinde_factor) of more than 10**8 steps priced by the length of
+    its ints, each refused before it starts; or a canonical label search that encodes more than 10**4
     leaves, refused as it runs."""
 
 

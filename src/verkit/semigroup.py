@@ -36,6 +36,12 @@ from .lattice import (
 # -- Hilbert tables --------------------------------------------------------
 
 
+def _decimal(value: int) -> str:
+    """The exact decimal of a count, however long: str() refuses an int of
+    more than sys.get_int_max_str_digits() digits, Decimal does not."""
+    return format(Decimal(value), "f")
+
+
 @dataclass(frozen=True)
 class HilbertTable:
     """Sequence of graded dimensions, degree 0 first."""
@@ -54,8 +60,7 @@ class HilbertTable:
             "graph": self.graph.canonical_hex(),
             "grading": self.grading,
             "base": base,
-            # exact at any length, where str() stops at 4,300 digits
-            "values": [format(Decimal(v), "f") for v in self.values],
+            "values": [_decimal(v) for v in self.values],
         }
 
 

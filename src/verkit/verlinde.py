@@ -8,7 +8,7 @@ Routes:
   * :func:`verlinde_factor` -- the factorization sum.  The count factors
     through every boundary stratum of the moduli space, so it is sewn one
     node at a time from the level's 0/1 fusion matrices N_a:
-    (e_0 . H^g . N_{r_1} ... N_{r_n})[0] with the handle H = sum_a N_a N_a
+    e_0 . H^g . N_{r_1} ... N_{r_n} . e_0 with the handle H = sum_a N_a N_a
     (at (0,4) this is exactly :func:`factorization_4point`'s sum);
   * :func:`verlinde_closed_form` -- the trigonometric formula
     ((L+2)/2)^(g-1) * sum_j prod_i sin((r_i+1) j pi/(L+2))
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import mul
 
 from .errors import InstanceTooLarge, NumericalResidual
 from .graphs import (
@@ -40,10 +39,12 @@ from .lattice import _integer, admissible_triple_level, count_points
 # Terms a level loop may take, one per weight 0..L: past it the closed
 # form's term list alone would hold tens of MB.
 _LEVEL_CAP = 2**20
-# Loop steps the sewing sum may take, judged a priori: d**4 + d**3 +
-# (g + n) * d**2 with d = L + 1.  The cap admits level 98 at genus 0,
-# which takes ~0.4 s on one core of a 2-vCPU VM.
+# Steps the sewing sum may take, judged a priori by _sew_steps: one per
+# level-rule test, and one more per _STEP_BITS bits of the longest int
+# the sum may reach.  On one core of a 2-vCPU VM a step took 0.04 to
+# 0.65 us near the cap, so a call takes at most about a minute.
 _SEW_CAP = 10**8
+_STEP_BITS = 2**14
 
 
 def _cap_level(level: int) -> None:
@@ -120,6 +121,83 @@ def verlinde(genus: int, leaf_weights, level: int) -> int:
     return count_points(standard_graph(genus, len(r)), r, L)
 
 
+def _sew(v: dict, a: int, level: int) -> dict:
+    """The row vector v . N_a, both sparse (weight -> count).  Every c in
+    the triangle window of (a, b) is put to the level rule."""
+    out: dict = {}
+    for b, x in v.items():
+        for c in range(abs(a - b), min(a + b, 2 * level - a - b) + 1):
+            if admissible_triple_level(a, b, c, level):
+                out[c] = out.get(c, 0) + x
+    return out
+
+
+def _side(handles: int, legs, level: int) -> dict:
+    """e_0 . H^handles . N_{legs[0]} N_{legs[1]} ..., sparse."""
+    v = {0: 1}
+    for _ in range(handles):
+        out: dict = {}
+        for a in range(level + 1):
+            for c, x in _sew(_sew(v, a, level), a, level).items():
+                out[c] = out.get(c, 0) + x
+        v = out
+    for x in legs:
+        v = _sew(v, x, level)
+    return v
+
+
+def _join(u: dict, a: int, w: dict, level: int) -> int:
+    """u . N_a . w, one level-rule test per pair of nonzeros."""
+    return sum(x * y for b, x in u.items() for c, y in w.items()
+               if admissible_triple_level(a, b, c, level))
+
+
+def _cut(genus: int, r: tuple):
+    """The factors H^g N_{r_1} ... N_{r_n} cut at the middle one: the left
+    and right sides as (handles, legs) and the middle factor, a leg weight
+    or None for a handle."""
+    i = (genus + len(r) - 1) // 2
+    if i < genus:
+        return (i, ()), None, (genus - i - 1, r)
+    i -= genus
+    return (genus, r[:i]), r[i], (0, r[i + 1:])
+
+
+def _sew_steps(genus: int, r: tuple, level: int) -> int:
+    """A-priori bound on the steps of verlinde_factor's sum: one per
+    level-rule test, times 1 + B // _STEP_BITS for ints of at most B bits.
+
+    Fusing a vector of s nonzeros, none above weight hi, with N_x tests at
+    most s * (2k + 1) weights and leaves at most s * (k + 1) nonzeros, k =
+    min(x, L - x, hi).  A first handle on e_0 tests d + spread weights
+    (spread = sum over a of 2 min(a, L - a) + 1), every later one at most
+    2 d spread.  Each handle multiplies the values by at most d**3, each
+    leg by at most d, and the meeting of the sides by at most d**2 more.
+    """
+    d = level + 1
+    spread = d + 2 * (level // 2) * (d // 2)
+    left, mid, right = _cut(genus, r)
+    sides = []
+    for handles, legs in (left, right):
+        tests, s, hi = 0, 1, 0
+        if handles:
+            tests = d + spread + (handles - 1) * 2 * d * spread
+            s, hi = d, level
+        for x in legs:
+            k = min(x, level - x, hi)
+            tests += s * (2 * k + 1)
+            s, hi = min(d, s * (k + 1)), min(level, hi + x)
+        sides.append((tests, s, hi))
+    (tests_u, s_u, hi_u), (tests_w, s_w, _) = sides
+    if mid is None:  # sum over a of (u . N_a) . N_a . w
+        join = (s_u * min(spread, d * (2 * hi_u + 1))
+                + d * min(d, s_u * (hi_u + 1)) * s_w)
+    else:
+        join = s_u * s_w
+    bits = (3 * genus + len(r) + 2) * d.bit_length()
+    return (tests_u + tests_w + join) * (1 + bits // _STEP_BITS)
+
+
 def verlinde_factor(genus: int, leaf_weights, level: int) -> int:
     """The factorization sum, sewn one boundary stratum at a time.
 
@@ -127,46 +205,35 @@ def verlinde_factor(genus: int, leaf_weights, level: int) -> int:
     1 when (a, b, c) is admissible at level L, and H = sum_a N_a N_a sews
     one non-separating node (a handle).  Then
 
-        V_g,n(r, L) = (e_0 . H^g . N_{r_1} ... N_{r_n})[0],
+        V_g,n(r, L) = e_0 . H^g . N_{r_1} ... N_{r_n} . e_0,
 
-    summed literally in Python ints: a row vector starts at the trivial
-    weight, takes g handles and then one leg at a time, and is read at the
-    trivial weight.  At (0,4) this is factorization_4point's sum.  It runs
-    no contraction and no walk, so it is independent of both.
+    summed literally in Python ints over sparse vectors.  The matrices
+    are symmetric and commute (the fusion ring is commutative), so the
+    product is cut at its middle factor: each side is a row vector sewn
+    from the trivial weight, handles first, and the two meet through the
+    middle factor, one level-rule test per pair of their nonzeros.  At
+    (0,4) this is factorization_4point's sum over the middle weight.  It
+    runs no contraction and no walk, so it is independent of both.
 
     Leaf weights outside 0..level give 0.  InstanceTooLarge when L + 1
     exceeds the level-loop cap of 2**20, and then when the a-priori step
-    count d**4 + d**3 + (g + n) * d**2 exceeds the sewing cap of 10**8:
-    d**3 admissibility tests, at most d**4 steps to build H, and d**2 per
-    handle and per leg.
+    count of _sew_steps, which prices each test by the length of the ints
+    it may add, exceeds the sewing cap of 10**8.
     """
     genus, r, L = _normalize(genus, leaf_weights, level)
     if L < 0 or any(x < 0 or x > L for x in r):
         return 0  # same convention as the counting routes
     _cap_level(L)
-    d = L + 1
-    steps = d**4 + d**3 + (genus + len(r)) * d**2
+    steps = _sew_steps(genus, r, L)
     if steps > _SEW_CAP:
         raise InstanceTooLarge(
             f"{steps} sewing steps at level {L} exceeds the cap {_SEW_CAP}"
         )
-    weights = range(d)
-    # fuse[a][b]: the weights c with N_a[b][c] = 1
-    fuse = [[[c for c in weights if admissible_triple_level(a, b, c, L)]
-             for b in weights] for a in weights]
-    handle = [[0] * d for _ in weights]
-    for a in weights:
-        for b in weights:
-            for m in fuse[a][b]:
-                for c in fuse[a][m]:
-                    handle[b][c] += 1
-    v = [1] + [0] * L
-    # N_a and H are symmetric, so v . M is M's rows against v
-    for _ in range(genus):
-        v = [sum(map(mul, row, v)) for row in handle]
-    for x in r:
-        v = [sum(v[b] for b in fuse[x][c]) for c in weights]
-    return v[0]
+    left, mid, right = _cut(genus, r)
+    u, w = _side(*left, L), _side(*right, L)
+    if mid is None:
+        return sum(_join(_sew(u, a, L), a, w, L) for a in range(L + 1))
+    return _join(u, mid, w, L)
 
 
 def verlinde_closed_form(genus: int, leaf_weights, level: int) -> int:

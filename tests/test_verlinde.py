@@ -357,11 +357,11 @@ def test_sewing_route_runs_no_walk_and_no_contraction(monkeypatch):
 
 def test_sewing_cap_refuses_before_any_admissibility_test(monkeypatch):
     verlinde_module = importlib.import_module("verkit.verlinde")
-    # (0, (1, 1, 0), 1) takes 2**4 + 2**3 + 3 * 2**2 = 36 steps, and a
-    # fourth leg 4 more
-    monkeypatch.setattr(verlinde_module, "_SEW_CAP", 36)
+    # (0, (1, 1, 0), 1) is cut at its middle leg: one test for each side
+    # and one where they meet; a fourth leg adds one test
+    monkeypatch.setattr(verlinde_module, "_SEW_CAP", 3)
     assert verlinde_factor(0, (1, 1), 1) == 1
-    with pytest.raises(InstanceTooLarge, match="40 sewing steps .* cap 36"):
+    with pytest.raises(InstanceTooLarge, match="4 sewing steps .* cap 3"):
         verlinde_factor(0, (1, 1, 0, 0), 1)
 
     def refuse(*args):
@@ -375,3 +375,56 @@ def test_sewing_cap_refuses_before_any_admissibility_test(monkeypatch):
     # the out-of-range answers come before the cap
     assert verlinde_factor(0, (5,), 4) == 0
     assert verlinde_factor(2, (), -1) == 0
+
+
+def test_sewing_cap_prices_the_length_of_the_ints(monkeypatch):
+    verlinde_module = importlib.import_module("verkit.verlinde")
+    steps = verlinde_module._sew_steps
+    # the tests grow with the genus and so do the ints they add: the price
+    # grows with its square
+    assert steps(200_000, (), 1) > 3.9 * steps(100_000, (), 1)
+
+    def refuse(*args):
+        raise AssertionError("sewed past the cap")
+
+    monkeypatch.setattr(verlinde_module, "_sew", refuse)
+    monkeypatch.setattr(verlinde_module, "_side", refuse)
+    for g, L in [(200_000, 1), (10_000, 10), (10**12, 10)]:
+        with pytest.raises(InstanceTooLarge, match="sewing steps"):
+            verlinde_factor(g, (), L)
+
+
+def test_sewing_route_answers_wherever_the_walk_does():
+    # the old factor route walked the standard graph under the walk's cap:
+    # (L + 1) ** E assignments for its E edges, or at (0, 4) any level
+    # below the level-loop cap.  Every such query still sews under its cap.
+    verlinde_module = importlib.import_module("verkit.verlinde")
+    walk_cap = importlib.import_module("verkit.lattice")._WALK_CAP
+    rng = random.Random(21)
+    for g in range(10):
+        for n in range(max(0, 3 - 2 * g), 27):
+            edges = len(standard_graph(g, n).edges)
+            L = 2**20 - 1
+            if edges and (g, n) != (0, 4):
+                L = min(L, round(walk_cap ** (1 / edges)))
+                while (L + 1) ** edges > walk_cap:
+                    L -= 1
+            if L < 1:
+                continue
+            pool = [0, 1, L // 2, (L + 1) // 2, L - 1, L]
+            draws = (itertools.product(pool, repeat=n) if n <= 3 else
+                     (tuple(rng.choice(pool) for _ in range(n))
+                      for _ in range(50)))
+            for r in draws:
+                assert verlinde_module._sew_steps(g, r, L) <= (
+                    verlinde_module._SEW_CAP), (g, r, L)
+
+
+def test_sewing_route_answers_at_high_levels():
+    assert verlinde_factor(0, (1, 1, 1, 1), 200) == 2
+    assert verlinde_factor(0, (1, 1, 1, 1), 2**20 - 1) == 2
+    assert verlinde_factor(0, (0, 0, 0), 10**5) == 1
+    assert verlinde_factor(1, (), 500) == 501
+    assert verlinde_factor(1, (), 10**4) == 10**4 + 1
+    assert verlinde_factor(0, (300, 400, 500, 600), 2000) == (
+        factorization_4point(300, 400, 500, 600, 2000))
