@@ -59,8 +59,11 @@ class InstanceTooLarge(VerkitError):
     assignments, a tensor contraction holding an array of more than 2**26
     entries, a Verlinde level loop of more than 2**20 terms, or a sewing
     sum (verlinde_factor) of more than 10**8 steps priced by the length of
-    its ints, each refused before it starts; or a canonical label search that encodes more than 10**4
-    leaves, refused as it runs."""
+    its ints, each refused before it starts; a signature whose classes
+    would come from more than 10**6 candidates, refused before they are
+    built, or whose stable closure makes more than 10**6 contractions; or a
+    canonical label search that encodes more than 10**4 leaves, refused as
+    it runs."""
 
 
 class BadWeighting(VerkitError):

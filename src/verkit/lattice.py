@@ -36,10 +36,16 @@ The contraction is exact, and each step runs in the narrowest dtype that
 keeps it so.  Every entry of a step's result, and every partial sum inside
 its tensordot, counts assignments to the k slots summed inside that result
 (its shared edges and loops, and its legs when they are summed too), so it
-is at most (level + 1) ** k.  A step runs in float64, an exact BLAS product
-of integers, while that bound is below 2^53; in int64 while it is below
-2^63; and on object arrays of Python ints past that.  Operands are only ever
-widened, float64 to int64 to object, so no float reaches an object array.
+is at most the plan bound (level + 1) ** k.  While the plan bound of the
+last step is below 2^53, every step runs in float64, an exact BLAS product
+of integers.  Past that, a step whose plan bound reaches 2^53 is bounded
+more tightly by top_a * top_b * (level + 1) ** s, s its shared axes and
+top an operand's largest entry: (level + 1) ** (loop + summed legs) for a
+vertex factor, read from the array for an intermediate.  The step runs in
+float64 while its bound is below 2^53, in int64 while it is below 2^63,
+and on object arrays of Python ints past that; each operand is cast to
+that dtype, exactly, since its entries are at most its top.  A float
+becomes an object array by way of int64, so no float reaches one.
 """
 
 from __future__ import annotations
@@ -325,9 +331,10 @@ def _exact_dtype(bound: int):
     return np.int64 if bound < 2**63 else object
 
 
-def _widen(x, dtype):
-    """x in dtype, by way of int64 when a float becomes an object array,
-    so that the array holds Python ints."""
+def _cast(x, dtype):
+    """x in dtype, which holds its entries exactly: widened or narrowed.  A
+    float array becomes an object array by way of int64, so that it holds
+    Python ints."""
     if x.dtype == dtype:
         return x
     if dtype is object and x.dtype == np.float64:
@@ -341,14 +348,19 @@ def _contract(plan: tuple, level: int, legs) -> int:
     A vertex's factor is T = W_{0,3}, or D = W_{1,1} at a loop, and its legs
     are the factor's last axes, applied here and nowhere else: legs holds
     fixed leg values in label order, which index those axes, or is None to
-    sum over them.  Each step runs in the narrowest exact dtype for
-    (level + 1) ** k, k its bound from the plan (see the module docstring);
-    when the last, largest bound is below 2^53 every step runs in float64
-    and none picks a dtype.  Raises InstanceTooLarge, before allocating,
-    when T or a step's result would hold more than _TENSOR_CAP entries.
+    sum over them.  When the last step's plan bound (level + 1) ** k is
+    below 2^53, every step runs in float64 and none picks a dtype.  Past
+    that, a step whose plan bound is still below 2^53 runs in float64; any
+    other step takes the narrowest exact dtype for top_a * top_b *
+    (level + 1) ** s, s its shared axes, with a vertex factor's top
+    (level + 1) ** (loop + summed legs) and an intermediate's its largest
+    entry, read when the step that uses it runs (see the module docstring).
+    Raises InstanceTooLarge, before allocating, when T or a step's result
+    would hold more than _TENSOR_CAP entries.
     """
     vertices, steps, bounds, rank = plan
-    size = (level + 1) ** max(3, rank)
+    d = level + 1
+    size = d ** max(3, rank)
     if size > _TENSOR_CAP:
         raise InstanceTooLarge(
             f"a tensor of {size} entries at level {level} exceeds the cap "
@@ -362,14 +374,24 @@ def _contract(plan: tuple, level: int, legs) -> int:
         live = [kernels[loop][(..., *[legs[p] for p in at])]
                 for loop, at in vertices]
     ks = bounds[legs is None]
-    wide = ks and (level + 1) ** ks[-1] >= 2**53
-    for n, (i, j, axes_i, axes_j) in enumerate(steps):
-        b = live.pop(j)
-        a = live.pop(i)
-        if wide:
-            dtype = _exact_dtype((level + 1) ** ks[n])
-            a, b = _widen(a, dtype), _widen(b, dtype)
+    if not ks or d ** ks[-1] < 2**53:
+        for i, j, axes_i, axes_j in steps:
+            b = live.pop(j)
+            a = live.pop(i)
+            live.append(np.tensordot(a, b, axes=(axes_i, axes_j)))
+        return int(live[0])
+    # exact bounds on each live factor's entries; None until read
+    tops = [d ** (loop + (legs is None) * len(at)) for loop, at in vertices]
+    for k, (i, j, axes_i, axes_j) in zip(ks, steps):
+        b, top_b = live.pop(j), tops.pop(j)
+        a, top_a = live.pop(i), tops.pop(i)
+        if d ** k >= 2**53:
+            top_a = int(a.max()) if top_a is None else top_a
+            top_b = int(b.max()) if top_b is None else top_b
+            dtype = _exact_dtype(top_a * top_b * d ** len(axes_i))
+            a, b = _cast(a, dtype), _cast(b, dtype)
         live.append(np.tensordot(a, b, axes=(axes_i, axes_j)))
+        tops.append(None)
     return int(live[0])
 
 
@@ -377,9 +399,13 @@ def count_points(graph: MarkedGraph, leaf_weights, level: int) -> int:
     """Number of admissible weightings with the given leg values.
 
     Exact tensor contraction over the internal edges along the graph's
-    compiled plan.  A step whose result sums k slots runs in float64 while
-    (level + 1) ** k < 2^53, in int64 while it is below 2^63, and on object
-    arrays of Python ints past that; k is at most E, the number of edges.
+    compiled plan.  A step whose result sums k slots has the plan bound
+    (level + 1) ** k, with k at most E, the number of edges.  While the
+    last step's plan bound is below 2^53 every step runs in float64; past
+    that, each step whose plan bound reaches 2^53 runs in the narrowest
+    exact dtype (float64, int64 or object arrays of Python ints) for the
+    product of its operands' largest entries and (level + 1) ** s, s its
+    shared axes (see _contract).
     Leg values outside 0..level make the count 0, and so does an odd leg
     sum, without contracting: summed over the vertices, the slot sums count
     every edge twice (a loop's two slots included) and every leg once, and
@@ -527,9 +553,10 @@ def count_cox(graph: MarkedGraph, level: int) -> int:
 
     Summing leg values over 0..level turns the count into the dimension of
     the degree-level piece of the total coordinate ring grading.  The
-    contraction picks each step's dtype as count_points does, with every
-    summed leg adding 1 to the k of the step that contains it, so k is at
-    most E + n with E edges and n legs, and refuses a level past the same
+    contraction picks each step's dtype as count_points does.  Every summed
+    leg adds 1 to the k of the step that contains it, so k is at most E + n
+    with E edges and n legs, and a vertex factor's largest entry is
+    (level + 1) ** (loop + summed legs).  Refuses a level past the same
     2**26-entry cap.
     """
     plan = _plan(graph)

@@ -20,6 +20,11 @@ work only when a process asks about a signature more than once (say
 `enumerate_stable`, then `contraction_poset`), and the CLI asks once.
 Flip sets are read off the single contractions on every call and never
 kept.
+
+Generation is capped.  A signature counts its candidates before it builds
+one: the slots of the (g, n-1) classes it inserts into, or the (g-1, n+2)
+classes it glues; the stable closure counts its contractions as it makes
+them.  Past _CLASS_CAP either raises InstanceTooLarge.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import InstanceTooLarge
 from .graphs import (
     MarkedGraph,
     _check_signature,
@@ -35,6 +41,19 @@ from .graphs import (
     require_trivalent,
     trinode,
 )
+
+
+# Candidates one signature's generation, or contractions its stable closure,
+# may make: (0,9) has 135,135 candidates and (0,10) 2,027,025.
+_CLASS_CAP = 10**6
+
+
+def _require_within_cap(count: int, what: str) -> None:
+    """InstanceTooLarge when count passes _CLASS_CAP."""
+    if count > _CLASS_CAP:
+        raise InstanceTooLarge(
+            f"{count} {what} exceeds the class cap {_CLASS_CAP}"
+        )
 
 
 @dataclass(frozen=True)
@@ -115,12 +134,18 @@ def _trivalent(genus: int, n_legs: int) -> tuple[MarkedGraph, ...]:
         return (trinode(),)
     found: dict[bytes, MarkedGraph] = {}
     if _is_stable(genus, n_legs - 1):
-        for g in _trivalent(genus, n_legs - 1):
+        smaller = _trivalent(genus, n_legs - 1)
+        _require_within_cap(
+            sum(len(g.edges) + g.n_legs for g in smaller), "candidates"
+        )
+        for g in smaller:
             for slot in range(len(g.edges) + g.n_legs):
                 cand = _insert_leg(g, slot, n_legs)
                 found.setdefault(cand.canonical_label, cand)
     else:
-        for g in _trivalent(genus - 1, n_legs + 2):
+        larger = _trivalent(genus - 1, n_legs + 2)
+        _require_within_cap(len(larger), "candidates")
+        for g in larger:
             cand = _glue_top_legs(g, n_legs)
             found.setdefault(cand.canonical_label, cand)
     return tuple(found[k] for k in sorted(found))
@@ -131,12 +156,16 @@ def _stable_closure(
     genus: int, n_legs: int
 ) -> tuple[tuple[MarkedGraph, ...], frozenset[tuple[bytes, bytes]]]:
     """The stable classes sorted by label, and the frozenset of (label,
-    label) pairs of the single contractions found while closing over them."""
+    label) pairs of the single contractions found while closing over them.
+    InstanceTooLarge once the contractions would pass _CLASS_CAP."""
     found = {g.canonical_label: g for g in _trivalent(genus, n_legs)}
     queue = list(found.values())
     hasse = set()
+    made = 0
     while queue:
         g = queue.pop()
+        made += len(g.edges)
+        _require_within_cap(made, "contractions")
         for e in range(len(g.edges)):
             c = g.contract_edge(e)
             hasse.add((g.canonical_label, c.canonical_label))

@@ -375,6 +375,20 @@ def test_tensor_too_large_exits_two(monkeypatch, capsys):
     assert capsys.readouterr().out == "2001\n"
 
 
+def test_class_generation_too_large_exits_two(monkeypatch, capsys):
+    # with a tiny cap the first signature the recursion builds is refused
+    # before it builds a candidate
+    def refuse(graph, slot, new_label):
+        raise AssertionError(f"built a candidate with leg {new_label}")
+
+    monkeypatch.setattr(moduli, "_CLASS_CAP", 2)
+    monkeypatch.setattr(moduli, "_insert_leg", refuse)
+    for mode in [[], ["--stable"]]:
+        code = main(["graphs", "--genus", "0", "--legs", "12", *mode])
+        assert code == 2
+        assert "InstanceTooLarge" in capsys.readouterr().err
+
+
 def test_level_loop_too_large_exits_two(monkeypatch, capsys):
     monkeypatch.setattr(importlib.import_module("verkit.verlinde"),
                         "_LEVEL_CAP", 8)

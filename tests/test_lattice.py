@@ -41,6 +41,7 @@ from verkit import (
     trinode,
     verlinde,
     verlinde_closed_form,
+    verlinde_factor,
 )
 from verkit import lattice, semigroup
 
@@ -550,31 +551,51 @@ def test_factorization_shape_of_caterpillar_count():
 
 
 def _spy_dtypes(monkeypatch) -> list:
-    """Record every tensordot result's dtype and largest entry."""
+    """Record every tensordot call as (result dtype, (a, b, result))."""
     seen = []
     tensordot = np.tensordot
 
     def spy(a, b, axes):
         out = tensordot(a, b, axes=axes)
-        seen.append((out.dtype, int(np.max(out))))
+        seen.append((out.dtype, (a, b, out)))
         return out
 
     monkeypatch.setattr(lattice.np, "tensordot", spy)
     return seen
 
 
+def _narrowest(bound: int) -> np.dtype:
+    return np.dtype(
+        np.float64 if bound < 2**53 else np.int64 if bound < 2**63 else object
+    )
+
+
 def _assert_narrowest(seen, graph, level, legs_summed=False):
-    """Each step ran in the narrowest exact dtype for its (level+1)**k, k
-    from the plan; the last step sums every slot, and no entry passed its
-    step's bound."""
-    ks = lattice._plan(graph)[2][legs_summed]
+    """Each step ran in the narrowest exact dtype for its bound, both
+    operands cast to it, and no entry passed that bound or an operand's top.
+
+    The bound is recomputed by the library's rule: a step's plan bound
+    (level+1)**k, k from the plan, while that or the last step's plan bound
+    is below 2^53; otherwise top_a * top_b * (level+1)**s, s its shared
+    axes, where a vertex factor's top is (level+1)**(loop + summed legs)
+    and an intermediate's is its largest entry.  The last step sums every
+    slot."""
+    vertices, steps, bounds, _ = lattice._plan(graph)
+    ks = bounds[legs_summed]
     assert ks[-1] == len(graph.edges) + legs_summed * graph.n_legs
-    assert len(seen) == len(ks)
-    for (dtype, top), k in zip(seen, ks):
-        bound = (level + 1) ** k
-        want = np.float64 if bound < 2**53 else np.int64 if bound < 2**63 else object
-        assert dtype == np.dtype(want)
-        assert top <= bound
+    assert len(seen) == len(steps)
+    d = level + 1
+    wide = d ** ks[-1] >= 2**53
+    tops = [d ** (loop + legs_summed * len(at)) for loop, at in vertices]
+    for (dtype, (a, b, out)), (i, j, axes_i, _), k in zip(seen, steps, ks):
+        top_b, top_a = tops.pop(j), tops.pop(i)
+        bound = d ** k
+        if wide and bound >= 2**53:
+            bound = top_a * top_b * d ** len(axes_i)
+        assert a.dtype == b.dtype == dtype == _narrowest(bound)
+        assert int(a.max()) <= top_a and int(b.max()) <= top_b
+        tops.append(int(out.max()))
+        assert tops[-1] <= bound
     seen.clear()
 
 
@@ -596,44 +617,96 @@ def _glued(graph, r, level, seen):
     return total
 
 
+def test_exact_dtype_ladder():
+    for bound, want in [(2**53 - 1, np.float64), (2**53, np.int64),
+                        (2**63 - 1, np.int64), (2**63, object)]:
+        assert lattice._exact_dtype(bound) is want
+
+
 def test_int64_and_object_contractions_agree_at_the_bound(monkeypatch):
-    # caterpillar(35) has 32 edges at level 3: its steps run in float64
-    # while 4^k < 2^53, int64 while 4^k < 2^63, and object for k = 32.
+    # caterpillar(40) at level 30: the plan bound 31^k passes 2^53 at the
+    # 11th of its 37 steps and 2^63 at the 13th, while the entries there
+    # are near 2^35.  So each later step's dtype follows its operands'
+    # largest entries, and seeded weights run all three dtypes.
+    f, i, o = np.dtype(np.float64), np.dtype(np.int64), np.dtype(object)
     seen = _spy_dtypes(monkeypatch)
-    cat34, cat35 = caterpillar(34), caterpillar(35)
-    for r, want in [((1,) * 34 + (2,), 5702887), ((3, 1) * 17 + (2,), 1597)]:
-        whole = count_points(cat35, r, 3)
-        assert {d for d, _ in seen} == {
-            np.dtype(np.float64), np.dtype(np.int64), np.dtype(object)
-        }
-        _assert_narrowest(seen, cat35, 3)
-        glued = _glued(cat34, r, 3, seen)
-        assert whole == glued == want
-        assert verlinde_closed_form(0, r, 3) == want
-    # legs summed too: 15 edges + 18 legs = 33 slots in the last step
+    cat39, cat40 = caterpillar(39), caterpillar(40)
+    rng = random.Random(5)
+    for _ in range(2):
+        r = [rng.randint(0, 30) for _ in range(40)]
+        r[-1] += sum(r) % 2 * (-1 if r[-1] else 1)
+        r = tuple(r)
+        whole = count_points(cat40, r, 30)
+        assert {d for d, _ in seen} == {f, i, o}
+        _assert_narrowest(seen, cat40, 30)
+        assert whole == _glued(cat39, r, 30, seen) == verlinde_factor(0, r, 30)
+    # legs summed too: 15 edges + 18 legs = 33 slots in the last step, so
+    # the plan bound passes 2^63 while every entry stays below 2^53
     assert count_cox(caterpillar(18), 3) == 1209462292480
+    assert {d for d, _ in seen} == {f}
     _assert_narrowest(seen, caterpillar(18), 3, legs_summed=True)
 
 
 def test_float64_path_is_exact_up_to_2_53(monkeypatch):
-    # At level 3, caterpillar(29) has 26 edges and 4^26 < 2^53, so every
-    # step runs in float64; caterpillar(30) has 27 and its last steps do
-    # not.  At level 1 the bound meets 2^53 itself: 53 edges need int64.
-    f, i = np.dtype(np.float64), np.dtype(np.int64)
+    # At level 3, caterpillar(29) has 26 edges and 4^26 < 2^53, so its plan
+    # never reads an entry; caterpillar(30) has 27, and caterpillar(35) 32,
+    # so their last steps bound their results by their operands' largest
+    # entries.  At level 1 the plan bound meets 2^53 itself: 53 edges.
+    # Those entries stay below 2^53, so every step runs in float64, and
+    # exactly the steps whose plan bound reaches 2^53 ask for a dtype.
+    f = np.dtype(np.float64)
     seen = _spy_dtypes(monkeypatch)
-    for n, L, kinds, weights in [
-        (29, 3, {f}, [(1,) * 28 + (2,), (3, 1) * 14 + (2,)]),
-        (30, 3, {f, i}, [(1,) * 30, (3, 1) * 15]),
-        (55, 1, {f}, [(1,) * 54 + (0,)]),
-        (56, 1, {f, i}, [(1,) * 56]),
+    asked = []
+    exact_dtype = lattice._exact_dtype
+    monkeypatch.setattr(lattice, "_exact_dtype",
+                        lambda bound: asked.append(bound) or exact_dtype(bound))
+    for n, L, steps_asked, weights in [
+        (29, 3, 0, [(1,) * 28 + (2,), (3, 1) * 14 + (2,)]),
+        (30, 3, 1, [(1,) * 30, (3, 1) * 15]),
+        (35, 3, 5, [(1,) * 34 + (2,), (3, 1) * 17 + (2,)]),
+        (55, 1, 0, [(1,) * 54 + (0,)]),
+        (56, 1, 1, [(1,) * 56]),
     ]:
         small, big = caterpillar(n - 1), caterpillar(n)
         for r in weights:
             whole = count_points(big, r, L)
-            assert {d for d, _ in seen} == kinds
+            assert {d for d, _ in seen} == {f}
+            assert len(asked) == steps_asked and all(b < 2**53 for b in asked)
+            asked.clear()
             _assert_narrowest(seen, big, L)
             assert whole == _glued(small, r, L, seen)
+            asked.clear()
             assert whole == verlinde_closed_form(0, r, L) > 0
+    assert count_points(caterpillar(35), (1,) * 34 + (2,), 3) == 5702887
+    assert count_points(caterpillar(35), (3, 1) * 17 + (2,), 3) == 1597
+
+
+def test_big_values_agree_across_routes(monkeypatch):
+    # Past 2^63 on the standard graphs, where intermediates meet
+    # intermediates, and with legs summed.  The two literals were taken
+    # when every step's dtype followed its plan bound alone.
+    o = np.dtype(object)
+    seen = _spy_dtypes(monkeypatch)
+    rng = random.Random(7)
+    for g in (12, 24):
+        for n in range(3):
+            r = [rng.randint(0, 30) for _ in range(n)]
+            if sum(r) % 2:
+                r[-1] += -1 if r[-1] else 1
+            count = verlinde(g, r, 30)
+            assert o in {d for d, _ in seen}
+            _assert_narrowest(seen, standard_graph(g, n), 30)
+            assert count == verlinde_factor(g, r, 30) > 2**63
+    assert verlinde(24, (), 30) == int(
+        "2488263226049814635795225605771618464258534310226640798262714786848"
+        "06283264"
+    )
+    seen.clear()
+    assert count_cox(caterpillar(18), 30) == (
+        309961021168030549200024593236878065664
+    )
+    assert o in {d for d, _ in seen}
+    _assert_narrowest(seen, caterpillar(18), 30, legs_summed=True)
 
 
 def _closed(edges):

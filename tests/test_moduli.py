@@ -8,6 +8,7 @@ import pytest
 
 from verkit import (
     BadWeighting,
+    InstanceTooLarge,
     StratumComplex,
     UnstableSignature,
     are_isomorphic,
@@ -26,6 +27,7 @@ from verkit import (
     theta_graph,
     trinode,
 )
+from verkit import moduli
 
 
 def test_trivalent_class_counts():
@@ -283,6 +285,30 @@ def test_rejects_unstable_signatures():
         flip_connectivity(0, 2)
     with pytest.raises(UnstableSignature):
         contraction_poset(1, 0)
+
+
+def test_class_generation_is_capped(monkeypatch):
+    # (0,n) has (2n-5)!! classes, each a distinct candidate: the slots of
+    # the (0,n-1) classes.  The cap admits (0,9) and refuses (0,10).
+    def candidates(n):
+        return sum(len(g.edges) + g.n_legs for g in enumerate_trivalent(0, n - 1))
+
+    assert [candidates(n) for n in range(4, 9)] == [3, 15, 105, 945, 10395]
+    assert 135_135 <= moduli._CLASS_CAP < 2_027_025
+    # the (0,6) candidates are counted before one is built
+    monkeypatch.setattr(moduli, "_CLASS_CAP", 104)
+    with pytest.raises(InstanceTooLarge, match="105 candidates"):
+        moduli._trivalent.__wrapped__(0, 6)
+    # (1,1) glues the top legs of the one (0,3) class
+    monkeypatch.setattr(moduli, "_CLASS_CAP", 0)
+    with pytest.raises(InstanceTooLarge, match="1 candidates"):
+        moduli._trivalent.__wrapped__(1, 1)
+    # the stable closure counts its contractions, 3 from each of the 105
+    # trivalent (0,6) classes and more from the classes they reach
+    monkeypatch.setattr(moduli, "_CLASS_CAP", 105)
+    assert len(moduli._trivalent.__wrapped__(0, 6)) == 105
+    with pytest.raises(InstanceTooLarge, match="contractions"):
+        moduli._stable_closure.__wrapped__(0, 6)
 
 
 def test_enumeration_order_is_stable():
