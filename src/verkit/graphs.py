@@ -50,7 +50,11 @@ class MarkedGraph:
         exactly 1..n.
 
     Build instances through :func:`new_graph`, which normalizes and
-    validates.  Direct construction skips validation.
+    validates.  Direct construction skips validation.  new_graph keeps a
+    pair it is given that is already a tuple of two ints in normal form,
+    so a graph and the graphs built from it by a local move (a contraction,
+    say) share the pairs the move leaves alone; tuples are immutable, so
+    sharing them is safe.
     """
 
     vertices: tuple[tuple[int, int], ...]
@@ -124,14 +128,19 @@ class MarkedGraph:
         if not 0 <= e < ne:
             raise DanglingReference(f"no edge slot {e}")
         a, b = self.edges[e]  # a <= b, and b merges into a
-        genus = dict(self.vertices)
-        genus[a] += 1 if a == b else genus.pop(b)
-        remap = lambda v: a if v == b else v
+        edges = self.edges[:e] + self.edges[e + 1:]
+        legs = self.legs
+        if a == b:
+            gained, verts = 1, self.vertices
+        else:
+            gained = next(g for vid, g in self.vertices if vid == b)
+            verts = [p for p in self.vertices if p[0] != b]
+            edges = [p if b not in p else _merged(p, a, b) for p in edges]
+            legs = [p if p[0] != b else (a, p[1]) for p in legs]
+        # only the pairs the move changes are new; the rest are shared
         return new_graph(
-            [(vid, genus[vid]) for vid, _ in self.vertices if vid in genus],
-            [(remap(x), remap(y)) for i, (x, y) in enumerate(self.edges)
-             if i != e],
-            [(remap(v), lab) for v, lab in self.legs],
+            [p if p[0] != a else (a, p[1] + gained) for p in verts],
+            edges, legs,
         )
 
     # -- canonical form -----------------------------------------------------
@@ -238,6 +247,13 @@ class MarkedGraph:
             lines.append(f"  v{vid} -- leg{lab};")
         lines.append("}")
         return "\n".join(lines)
+
+
+def _merged(edge: tuple[int, int], a: int, b: int) -> tuple[int, int]:
+    """edge with its ends at b moved to a, as a normal-form pair."""
+    x, y = edge
+    x, y = (a if x == b else x), (a if y == b else y)
+    return (x, y) if x <= y else (y, x)
 
 
 # -- canonical labelling ---------------------------------------------------
@@ -410,15 +426,25 @@ def new_graph(
     connectivity, and stability of every vertex (2*genus - 2 + valence > 0,
     loops counting twice).  Data of the wrong shape, a vertex, edge or leg
     that is not a pair, say, raises BadGraphDocument.
+
+    A pair that is already a ``tuple`` of two ``int`` (an edge with
+    ``a <= b``) goes into the graph as the very object given, so graphs
+    built from one another share their pairs; a list or tuple-subclass
+    row, a reversed edge or a value read through operator.index becomes a
+    fresh tuple.  Tuples are immutable, so the sharing is safe.
     """
     try:
-        verts = tuple([
-            (
-                v if type(v) is int else _integer(v, "vertex id"),
-                g if type(g) is int else _integer(g, "genus"),
-            )
-            for v, g in vertices
-        ])
+        verts = []
+        for pair in vertices:
+            v, g = pair
+            if (type(v) is not int or type(g) is not int
+                    or type(pair) is not tuple):
+                pair = (
+                    v if type(v) is int else _integer(v, "vertex id"),
+                    g if type(g) is int else _integer(g, "genus"),
+                )
+            verts.append(pair)
+        verts = tuple(verts)
         valence = {vid: 0 for vid, _ in verts}  # also the id set
         if len(valence) != len(verts):
             raise DanglingReference("duplicate vertex ids")
@@ -430,9 +456,13 @@ def new_graph(
 
         adj: dict[int, list[int]] = {vid: [] for vid in valence}
         norm_edges = []
-        for a, b in edges:
-            a = a if type(a) is int else _integer(a, "edge end")
-            b = b if type(b) is int else _integer(b, "edge end")
+        for edge in edges:
+            a, b = edge
+            if (type(a) is not int or type(b) is not int
+                    or type(edge) is not tuple or a > b):
+                a = a if type(a) is int else _integer(a, "edge end")
+                b = b if type(b) is int else _integer(b, "edge end")
+                edge = (a, b) if a <= b else (b, a)
             if a not in valence or b not in valence:
                 raise DanglingReference(
                     f"edge ({a},{b}) references a missing vertex"
@@ -441,18 +471,22 @@ def new_graph(
             valence[b] += 1
             adj[a].append(b)
             adj[b].append(a)
-            norm_edges.append((a, b) if a <= b else (b, a))
+            norm_edges.append(edge)
 
         norm_legs = []
-        for v, lab in legs:
-            v = v if type(v) is int else _integer(v, "leg vertex")
-            lab = lab if type(lab) is int else _integer(lab, "leg label")
+        for leg in legs:
+            v, lab = leg
+            if (type(v) is not int or type(lab) is not int
+                    or type(leg) is not tuple):
+                v = v if type(v) is int else _integer(v, "leg vertex")
+                lab = lab if type(lab) is int else _integer(lab, "leg label")
+                leg = (v, lab)
             if v not in valence:
                 raise DanglingReference(
                     f"leg {lab} references missing vertex {v}"
                 )
             valence[v] += 1
-            norm_legs.append((v, lab))
+            norm_legs.append(leg)
     except (TypeError, ValueError) as exc:
         # a row that is not a pair, or data that is not iterable
         raise BadGraphDocument(

@@ -24,7 +24,9 @@ kept.
 Generation is capped.  A signature counts its candidates before it builds
 one: the slots of the (g, n-1) classes it inserts into, or the (g-1, n+2)
 classes it glues; the stable closure counts its contractions as it makes
-them.  Past _CLASS_CAP either raises InstanceTooLarge.
+them.  Past _CLASS_CAP either raises InstanceTooLarge.  In genus 0 the
+count is known before (0, n-1) is built, (2n-5)!!, so a signature past the
+cap is refused before any class is built.
 """
 
 from __future__ import annotations
@@ -97,14 +99,17 @@ class StratumComplex:
 
 
 def _insert_leg(graph: MarkedGraph, slot: int, new_label: int) -> MarkedGraph:
-    """Subdivide an edge or split off a leg, hanging new_label there."""
+    """Subdivide an edge or split off a leg, hanging new_label there.
+
+    The new vertex w has the largest id, so (a, w) and (b, w) are in normal
+    form, and the new graph shares every pair it does not change."""
     w = max(vid for vid, _ in graph.vertices) + 1
     verts = list(graph.vertices) + [(w, 0)]
     ne = len(graph.edges)
     edges, legs = list(graph.edges), list(graph.legs)
     if slot < ne:
         a, b = edges.pop(slot)
-        edges += [(a, w), (w, b)]
+        edges += [(a, w), (b, w)]
     else:
         v, lab = legs[slot - ne]
         legs[slot - ne] = (w, lab)
@@ -117,7 +122,7 @@ def _glue_top_legs(graph: MarkedGraph, n_keep: int) -> MarkedGraph:
     """Join legs n_keep+1 and n_keep+2 into a new edge."""
     v1 = next(v for v, lab in graph.legs if lab == n_keep + 1)
     v2 = next(v for v, lab in graph.legs if lab == n_keep + 2)
-    legs = [(v, lab) for v, lab in graph.legs if lab <= n_keep]
+    legs = [leg for leg in graph.legs if leg[1] <= n_keep]
     edges = list(graph.edges) + [(v1, v2)]
     return new_graph(graph.vertices, edges, legs)
 
@@ -134,10 +139,20 @@ def _trivalent(genus: int, n_legs: int) -> tuple[MarkedGraph, ...]:
         return (trinode(),)
     found: dict[bytes, MarkedGraph] = {}
     if _is_stable(genus, n_legs - 1):
+        if genus == 0:
+            # Every genus-0 candidate is a distinct class, so (0,k) has
+            # exactly 3 * 5 * ... * (2k-5) of them: refuse the first
+            # signature up to this one that passes the cap, as the recursion
+            # would, before (0, n_legs - 1) is built.
+            count = 1
+            for slots in range(3, 2 * n_legs - 4, 2):
+                count *= slots
+                _require_within_cap(count, "candidates")
         smaller = _trivalent(genus, n_legs - 1)
-        _require_within_cap(
-            sum(len(g.edges) + g.n_legs for g in smaller), "candidates"
-        )
+        if genus > 0:  # the product of the slot counts overcounts here
+            _require_within_cap(
+                sum(len(g.edges) + g.n_legs for g in smaller), "candidates"
+            )
         for g in smaller:
             for slot in range(len(g.edges) + g.n_legs):
                 cand = _insert_leg(g, slot, n_legs)

@@ -389,6 +389,20 @@ def test_class_generation_too_large_exits_two(monkeypatch, capsys):
         assert "InstanceTooLarge" in capsys.readouterr().err
 
 
+def test_genus_zero_class_cap_is_judged_before_building(monkeypatch, capsys):
+    # (0,10) has 15!! = 2,027,025 candidates, known before (0,9) is built
+    def refuse(graph, slot, new_label):
+        raise AssertionError(f"built a candidate with leg {new_label}")
+
+    monkeypatch.setattr(moduli, "_insert_leg", refuse)
+    for legs in ["10", "12"]:
+        for mode in [[], ["--stable"]]:
+            code = main(["graphs", "--genus", "0", "--legs", legs, *mode])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "InstanceTooLarge" in err and "2027025 candidates" in err
+
+
 def test_level_loop_too_large_exits_two(monkeypatch, capsys):
     monkeypatch.setattr(importlib.import_module("verkit.verlinde"),
                         "_LEVEL_CAP", 8)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import gc
 import hashlib
 import itertools
@@ -139,6 +140,38 @@ def test_contract_edge_slot_errors():
         with pytest.raises(DanglingReference):
             g.contract_edge(slot)
     assert g.contract_edge(np.int64(0)) == g.contract_edge(0)
+
+
+def _assert_contraction_shares(g, e):
+    """contract_edge(e) builds new pairs only for the merged vertex, a
+    loop's genus bump and the edges and legs that touched the vertex that
+    merges away; every other pair is the parent's own object."""
+    a, b = g.edges[e]
+    c = g.contract_edge(e)
+    kept = g.edges[:e] + g.edges[e + 1:]
+    assert len(c.edges) == len(kept) and len(c.legs) == len(g.legs)
+    others = [p for p in g.vertices if p[0] not in (a, b)]
+    survivors = [p for p in c.vertices if p[0] != a]
+    assert len(survivors) == len(others)
+    assert all(new is old for new, old in zip(survivors, others))
+    merged = next(p for p in c.vertices if p[0] == a)
+    assert all(merged is not p for p in g.vertices)
+    for old, new in zip(kept, c.edges):
+        assert (new is old) == (a == b or b not in old)
+    for old, new in zip(g.legs, c.legs):
+        assert (new is old) == (a == b or old[0] != b)
+    return c
+
+
+def test_contraction_shares_the_pairs_it_leaves_alone():
+    bridge = _assert_contraction_shares(caterpillar(6), 1)
+    assert bridge.vertices[1] == (1, 0) and bridge.edges == ((0, 1), (1, 3))
+    loop = _assert_contraction_shares(dumbbell(), 0)
+    assert loop.vertices == ((0, 1), (1, 0))
+    g = new_graph([(0, 0), (1, 0), (2, 0)], [(0, 1), (0, 1), (1, 2), (2, 2)],
+                  [(0, 1), (2, 2)])
+    parallel = _assert_contraction_shares(g, 0)
+    assert parallel.edges == ((0, 0), (0, 2), (2, 2))
 
 
 def test_isomorphism_ignores_vertex_ids_and_edge_order():
@@ -422,3 +455,25 @@ def test_new_graph_refuses_non_integers():
     g = new_graph([(np.int64(0), np.int8(0))], [], [(0, np.int64(1)), (0, 2),
                                                     (0, 3)])
     assert g == trinode() and type(g.vertices[0][0]) is int
+
+
+def test_new_graph_keeps_int_tuple_pairs():
+    verts, edges, legs = [(0, 0), (1, 0)], [(0, 0), (0, 1), (1, 1)], [(0, 1)]
+    g = new_graph(verts, edges, legs)
+    pairs = g.vertices + g.edges + g.legs
+    assert all(new is old for new, old in zip(pairs, verts + edges + legs))
+    # anything else gives a fresh, exact tuple of ints
+    Row = collections.namedtuple("Row", "a b")
+    fresh = [
+        new_graph([[0, 0], (1, 0)], edges, legs).vertices[0],
+        new_graph([Row(0, 0), (1, 0)], edges, legs).vertices[0],
+        new_graph(verts, [(0, 0), (1, 0), (1, 1)], legs).edges[1],
+        new_graph([(0, 0), (np.int64(1), 0)], edges, legs).vertices[1],
+        new_graph(verts, edges, [Row(0, 1)]).legs[0],
+    ]
+    assert fresh == [(0, 0), (0, 0), (0, 1), (1, 0), (0, 1)]
+    for pair in fresh:
+        assert type(pair) is tuple and all(type(x) is int for x in pair)
+        assert all(pair is not old for old in verts + edges + legs)
+    with pytest.raises(BadGraphDocument):
+        new_graph([(0, True)], [(0, 0)], [(0, 1)])

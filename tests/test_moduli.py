@@ -311,6 +311,42 @@ def test_class_generation_is_capped(monkeypatch):
         moduli._stable_closure.__wrapped__(0, 6)
 
 
+def _pair_ids(g):
+    return [id(p) for p in g.vertices + g.edges + g.legs]
+
+
+def _assert_shares_exactly(parent, child, untouched, new):
+    """child holds the untouched pairs of parent as the same objects, and
+    ``new`` pairs of its own."""
+    ids = set(_pair_ids(parent))
+    assert sorted(map(id, untouched)) == sorted(
+        i for i in _pair_ids(child) if i in ids)
+    assert len(_pair_ids(child)) == len(untouched) + new
+
+
+def test_local_moves_share_the_pairs_they_leave_alone():
+    for g in enumerate_trivalent(0, 6)[:5]:
+        ne = len(g.edges)
+        for slot in range(ne + g.n_legs):
+            split = slot - ne if slot >= ne else len(g.legs)
+            untouched = (g.vertices + g.edges[:slot] + g.edges[slot + 1:]
+                         + g.legs[:split] + g.legs[split + 1:])
+            # the new vertex, the edge or leg split in two, and leg 7 are new
+            _assert_shares_exactly(g, moduli._insert_leg(g, slot, 7),
+                                   untouched, 4)
+    for g in enumerate_trivalent(0, 5):
+        # legs 4 and 5 become one new edge
+        _assert_shares_exactly(g, moduli._glue_top_legs(g, 3),
+                               g.vertices + g.edges + g.legs[:3], 1)
+
+
+def test_trivalent_classes_share_their_pairs():
+    # a class shares all but a few pairs with the class it grew from
+    classes = enumerate_trivalent(0, 7)
+    distinct = {i for g in classes for i in _pair_ids(g)}
+    assert len(classes) == 945 and len(distinct) < 6 * len(classes)
+
+
 def test_enumeration_order_is_stable():
     a = [g.canonical_hex() for g in enumerate_trivalent(0, 5)]
     b = [g.canonical_hex() for g in enumerate_trivalent(0, 5)]
