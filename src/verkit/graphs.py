@@ -197,13 +197,9 @@ class MarkedGraph:
             (genus[i], valence[i], tuple(sorted(legs_at[i])), loops[i])
             for i in range(n)
         ]), neighbors)
-        if count == n:  # discrete: the colours are the vertex order
-            least = _encode(colors, genus, edges, legs)
-        else:
-            found = _Found()
-            _search(colors, count, (), (neighbors, genus, edges, legs), found)
-            least = found.least
-        return repr(least).encode("ascii")
+        found = _Found()
+        _search(colors, count, (), (neighbors, genus, edges, legs), found)
+        return repr(found.least).encode("ascii")
 
     def canonical_hex(self) -> str:
         return self.canonical_label.hex()
@@ -304,14 +300,14 @@ def _encode(pi: list[int], genus: list[int], edges: list, legs: list) -> tuple:
 
 
 class _Found:
-    """A label search so far: the least encoding, the inverse of the vertex
-    order that gave it, the automorphisms that ties with it gave, and the
-    number of leaves encoded."""
+    """A label search so far: the least encoding, the vertex order (the
+    leaf's colours) that gave it, the automorphisms that ties with it gave,
+    and the number of leaves encoded."""
 
-    __slots__ = ("least", "inverse", "autos", "leaves")
+    __slots__ = ("least", "order", "autos", "leaves")
 
     def __init__(self) -> None:
-        self.least = self.inverse = None
+        self.least = self.order = None
         self.autos: list[list[int]] = []
         self.leaves = 0
 
@@ -339,12 +335,11 @@ def _search(
             )
         code = _encode(colors, *graph[1:])
         if found.least is None or code < found.least:
-            inverse = [0] * count
-            for v, c in enumerate(colors):
-                inverse[c] = v
-            found.least, found.inverse = code, inverse
+            found.least, found.order = code, colors
         elif code == found.least:
-            inverse = found.inverse
+            inverse = [0] * count
+            for v, c in enumerate(found.order):
+                inverse[c] = v
             found.autos.append([inverse[c] for c in colors])
         return
     size = [0] * count
@@ -440,8 +435,8 @@ def new_graph(
             if (type(v) is not int or type(g) is not int
                     or type(pair) is not tuple):
                 pair = (
-                    v if type(v) is int else _integer(v, "vertex id"),
-                    g if type(g) is int else _integer(g, "genus"),
+                    _integer(v, "vertex id"),
+                    _integer(g, "genus"),
                 )
             verts.append(pair)
         verts = tuple(verts)
@@ -460,8 +455,8 @@ def new_graph(
             a, b = edge
             if (type(a) is not int or type(b) is not int
                     or type(edge) is not tuple or a > b):
-                a = a if type(a) is int else _integer(a, "edge end")
-                b = b if type(b) is int else _integer(b, "edge end")
+                a = _integer(a, "edge end")
+                b = _integer(b, "edge end")
                 edge = (a, b) if a <= b else (b, a)
             if a not in valence or b not in valence:
                 raise DanglingReference(
@@ -478,8 +473,8 @@ def new_graph(
             v, lab = leg
             if (type(v) is not int or type(lab) is not int
                     or type(leg) is not tuple):
-                v = v if type(v) is int else _integer(v, "leg vertex")
-                lab = lab if type(lab) is int else _integer(lab, "leg label")
+                v = _integer(v, "leg vertex")
+                lab = _integer(lab, "leg label")
                 leg = (v, lab)
             if v not in valence:
                 raise DanglingReference(

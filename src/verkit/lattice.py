@@ -36,22 +36,21 @@ The contraction is exact, and each step runs in the narrowest dtype that
 keeps it so.  Every entry of a step's result, and every partial sum inside
 its tensordot, counts assignments to the k slots summed inside that result
 (its shared edges and loops, and its legs when they are summed too), so it
-is at most the plan bound (level + 1) ** k.  While the plan bound of the
-last step is below 2^53, every step runs in float64, an exact BLAS product
-of integers.  Past that, a step whose plan bound reaches 2^53 is bounded
-more tightly by top_a * top_b * (level + 1) ** s, s its shared axes and
-top an operand's largest entry: (level + 1) ** (loop + summed legs) for a
-vertex factor, read from the array for an intermediate.  The step runs in
-float64 while its bound is below 2^53, in int64 while it is below 2^63,
-and on object arrays of Python ints past that; each operand is cast to
-that dtype, exactly, since its entries are at most its top.  A float
-becomes an object array by way of int64, so no float reaches one.
+is at most the plan bound (level + 1) ** k.  A step whose plan bound is
+below 2^53 runs in float64, an exact BLAS product of integers, and reads
+nothing.  A step whose plan bound reaches 2^53 is bounded more tightly by
+top_a * top_b * (level + 1) ** s, s its shared axes and top an operand's
+largest entry: (level + 1) ** (loop + summed legs) for a vertex factor,
+read from the array for an intermediate.  That step runs in float64 while
+its bound is below 2^53, in int64 while it is below 2^63, and on object
+arrays of Python ints past that; each operand is cast to that dtype,
+exactly, since its entries are at most its top.  A float becomes an object
+array by way of int64, so no float reaches one.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -146,31 +145,6 @@ class LevelledWeighting:
             },
             "level": self.level,
         }
-
-    @staticmethod
-    def from_json(graph: MarkedGraph, data: dict | str) -> "LevelledWeighting":
-        """Read the document to_json writes, as a dict or JSON text.
-
-        Raises BadWeighting if it is not JSON of that shape, lacks an edge,
-        leg or level value, or holds one that is not an integer (a float or
-        a boolean).
-        """
-        try:
-            if isinstance(data, str):
-                data = json.loads(data)
-            edges = tuple(
-                data["edges"][str(i)] for i in range(len(graph.edges))
-            )
-            legs = tuple(data["legs"][str(lab)] for _, lab in graph.legs)
-            level = data["level"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise BadWeighting(f"{type(exc).__name__}: {exc}") from exc
-        return LevelledWeighting(
-            graph,
-            tuple(_integer(w, "edge weight") for w in edges),
-            tuple(_integer(w, "leg weight") for w in legs),
-            _integer(level, "level"),
-        )
 
 
 def _integer(value, what: str) -> int:
@@ -348,15 +322,14 @@ def _contract(plan: tuple, level: int, legs) -> int:
     A vertex's factor is T = W_{0,3}, or D = W_{1,1} at a loop, and its legs
     are the factor's last axes, applied here and nowhere else: legs holds
     fixed leg values in label order, which index those axes, or is None to
-    sum over them.  When the last step's plan bound (level + 1) ** k is
-    below 2^53, every step runs in float64 and none picks a dtype.  Past
-    that, a step whose plan bound is still below 2^53 runs in float64; any
-    other step takes the narrowest exact dtype for top_a * top_b *
-    (level + 1) ** s, s its shared axes, with a vertex factor's top
-    (level + 1) ** (loop + summed legs) and an intermediate's its largest
-    entry, read when the step that uses it runs (see the module docstring).
-    Raises InstanceTooLarge, before allocating, when T or a step's result
-    would hold more than _TENSOR_CAP entries.
+    sum over them.  A step whose plan bound (level + 1) ** k is below 2^53
+    runs in float64 and reads nothing; any other step takes the narrowest
+    exact dtype for top_a * top_b * (level + 1) ** s, s its shared axes,
+    with a vertex factor's top (level + 1) ** (loop + summed legs) and an
+    intermediate's its largest entry, read when the step that uses it runs
+    (see the module docstring).  Raises InstanceTooLarge, before
+    allocating, when T or a step's result would hold more than _TENSOR_CAP
+    entries.
     """
     vertices, steps, bounds, rank = plan
     d = level + 1
@@ -367,32 +340,24 @@ def _contract(plan: tuple, level: int, legs) -> int:
             f"{_TENSOR_CAP}"
         )
     kernels = _kernels(level)
+    # each live factor with an exact bound on its entries, None until read
     if legs is None:
-        live = [kernels[loop].sum(axis=tuple(range(-len(at), 0))) if at
-                else kernels[loop] for loop, at in vertices]
-    else:
-        live = [kernels[loop][(..., *[legs[p] for p in at])]
+        live = [(kernels[loop].sum(axis=tuple(range(-len(at), 0))) if at
+                 else kernels[loop], d ** (loop + len(at)))
                 for loop, at in vertices]
-    ks = bounds[legs is None]
-    if not ks or d ** ks[-1] < 2**53:
-        for i, j, axes_i, axes_j in steps:
-            b = live.pop(j)
-            a = live.pop(i)
-            live.append(np.tensordot(a, b, axes=(axes_i, axes_j)))
-        return int(live[0])
-    # exact bounds on each live factor's entries; None until read
-    tops = [d ** (loop + (legs is None) * len(at)) for loop, at in vertices]
-    for k, (i, j, axes_i, axes_j) in zip(ks, steps):
-        b, top_b = live.pop(j), tops.pop(j)
-        a, top_a = live.pop(i), tops.pop(i)
+    else:
+        live = [(kernels[loop][(..., *[legs[p] for p in at])], d ** loop)
+                for loop, at in vertices]
+    for k, (i, j, axes_i, axes_j) in zip(bounds[legs is None], steps):
+        b, top_b = live.pop(j)
+        a, top_a = live.pop(i)
         if d ** k >= 2**53:
             top_a = int(a.max()) if top_a is None else top_a
             top_b = int(b.max()) if top_b is None else top_b
             dtype = _exact_dtype(top_a * top_b * d ** len(axes_i))
             a, b = _cast(a, dtype), _cast(b, dtype)
-        live.append(np.tensordot(a, b, axes=(axes_i, axes_j)))
-        tops.append(None)
-    return int(live[0])
+        live.append((np.tensordot(a, b, axes=(axes_i, axes_j)), None))
+    return int(live[0][0])
 
 
 def count_points(graph: MarkedGraph, leaf_weights, level: int) -> int:
@@ -400,12 +365,11 @@ def count_points(graph: MarkedGraph, leaf_weights, level: int) -> int:
 
     Exact tensor contraction over the internal edges along the graph's
     compiled plan.  A step whose result sums k slots has the plan bound
-    (level + 1) ** k, with k at most E, the number of edges.  While the
-    last step's plan bound is below 2^53 every step runs in float64; past
-    that, each step whose plan bound reaches 2^53 runs in the narrowest
-    exact dtype (float64, int64 or object arrays of Python ints) for the
-    product of its operands' largest entries and (level + 1) ** s, s its
-    shared axes (see _contract).
+    (level + 1) ** k, with k at most E, the number of edges.  A step whose
+    plan bound is below 2^53 runs in float64; any other step runs in the
+    narrowest exact dtype (float64, int64 or object arrays of Python ints)
+    for the product of its operands' largest entries and (level + 1) ** s,
+    s its shared axes (see _contract).
     Leg values outside 0..level make the count 0, and so does an odd leg
     sum, without contracting: summed over the vertices, the slot sums count
     every edge twice (a loop's two slots included) and every leg once, and

@@ -5,11 +5,12 @@ with its contraction (ancestor) Hasse diagram, cone dimensions, and the flip
 moves connecting trivalent classes through common one-edge-contraction
 ancestors.
 
-Generation is exhaustive-with-dedup, with one route per signature: (0,3)
-seeds the recursion.  Wherever (g, n-1) is stable, the classes come from
-inserting leg n into every edge and leg slot of the (g, n-1) classes
-(removing leg n and smoothing its vertex inverts this, so insertion alone
-reaches every class).  Only where insertion cannot reach, at n = 0 and at
+Generation is exhaustive-with-dedup, with one route per signature, built
+from (0,3) up in a loop, so a deep signature meets no recursion limit.
+Wherever (g, n-1) is stable, the classes come from inserting leg n into
+every edge and leg slot of the (g, n-1) classes (removing leg n and
+smoothing its vertex inverts this, so insertion alone reaches every
+class).  Only where insertion cannot reach, at n = 0 and at
 (1,1), do they come from gluing the top two legs of the (g-1, n+2) classes
 (cutting any cycle edge inverts this).  Canonical labels dedup everything;
 output is sorted by label, so ordering is stable across runs.
@@ -22,9 +23,9 @@ Flip sets are read off the single contractions on every call and never
 kept.
 
 Generation is capped.  A signature counts its candidates before it builds
-one: the slots of the (g, n-1) classes it inserts into, or the (g-1, n+2)
-classes it glues; the stable closure counts its contractions as it makes
-them.  Past _CLASS_CAP either raises InstanceTooLarge.  In genus 0 the
+one: the 3g + 2n - 5 slots of each (g, n-1) class it inserts into, or
+the (g-1, n+2) classes it glues; the stable closure counts its
+contractions as it makes them.  Past _CLASS_CAP either raises InstanceTooLarge.  In genus 0 the
 count is known before (0, n-1) is built, (2n-5)!!, so a signature past the
 cap is refused before any class is built.
 """
@@ -133,34 +134,48 @@ def enumerate_trivalent(genus: int, n_legs: int) -> tuple[MarkedGraph, ...]:
     return _trivalent(*_check_signature(genus, n_legs))
 
 
+def _source(genus: int, n_legs: int) -> tuple[int, int]:
+    """The signature whose classes (genus, n_legs)'s are built from."""
+    if _is_stable(genus, n_legs - 1):
+        return genus, n_legs - 1
+    return genus - 1, n_legs + 2
+
+
 @lru_cache(maxsize=None)
 def _trivalent(genus: int, n_legs: int) -> tuple[MarkedGraph, ...]:
+    if genus == 0:
+        # Every genus-0 candidate is a distinct class, so (0,k) has exactly
+        # 3 * 5 * ... * (2k-5) of them: refuse the first signature up to
+        # this one that passes the cap, as building them in turn would,
+        # before any is built.
+        count = 1
+        for slots in range(3, 2 * n_legs - 4, 2):
+            count *= slots
+            _require_within_cap(count, "candidates")
     if (genus, n_legs) == (0, 3):
         return (trinode(),)
+    # Make the signatures this one is built from, from (0,3) up, so that
+    # no call recurses through more than one signature.
+    source = _source(genus, n_legs)
+    chain = [source]
+    while chain[-1] != (0, 3):
+        chain.append(_source(*chain[-1]))
+    for sig in reversed(chain[1:]):
+        _trivalent(*sig)
+    sources = _trivalent(*source)
     found: dict[bytes, MarkedGraph] = {}
-    if _is_stable(genus, n_legs - 1):
-        if genus == 0:
-            # Every genus-0 candidate is a distinct class, so (0,k) has
-            # exactly 3 * 5 * ... * (2k-5) of them: refuse the first
-            # signature up to this one that passes the cap, as the recursion
-            # would, before (0, n_legs - 1) is built.
-            count = 1
-            for slots in range(3, 2 * n_legs - 4, 2):
-                count *= slots
-                _require_within_cap(count, "candidates")
-        smaller = _trivalent(genus, n_legs - 1)
-        if genus > 0:  # the product of the slot counts overcounts here
-            _require_within_cap(
-                sum(len(g.edges) + g.n_legs for g in smaller), "candidates"
-            )
-        for g in smaller:
+    if source == (genus, n_legs - 1):
+        # a trivalent (g, n-1) class has 3g + 2n - 5 edge and leg slots
+        _require_within_cap(
+            len(sources) * (3 * genus + 2 * n_legs - 5), "candidates"
+        )
+        for g in sources:
             for slot in range(len(g.edges) + g.n_legs):
                 cand = _insert_leg(g, slot, n_legs)
                 found.setdefault(cand.canonical_label, cand)
     else:
-        larger = _trivalent(genus - 1, n_legs + 2)
-        _require_within_cap(len(larger), "candidates")
-        for g in larger:
+        _require_within_cap(len(sources), "candidates")
+        for g in sources:
             cand = _glue_top_legs(g, n_legs)
             found.setdefault(cand.canonical_label, cand)
     return tuple(found[k] for k in sorted(found))

@@ -403,6 +403,19 @@ def test_genus_zero_class_cap_is_judged_before_building(monkeypatch, capsys):
             assert "InstanceTooLarge" in err and "2027025 candidates" in err
 
 
+def test_deep_signatures_are_refused_by_the_cap(monkeypatch, capsys):
+    # Each signature is built from (g, n-1) or (g-1, n+2), down to (0,3):
+    # chains thousands of signatures deep are built bottom-up, so the cap
+    # refuses them near the bottom instead of the recursion limit
+    monkeypatch.setattr(moduli, "_CLASS_CAP", 10)
+    for command, genus, legs in [("graphs", "1000", "0"),
+                                 ("graphs", "1", "1000"),
+                                 ("flips", "400", "0")]:
+        code = main([command, "--genus", genus, "--legs", legs])
+        assert code == 2
+        assert "InstanceTooLarge" in capsys.readouterr().err
+
+
 def test_level_loop_too_large_exits_two(monkeypatch, capsys):
     monkeypatch.setattr(importlib.import_module("verkit.verlinde"),
                         "_LEVEL_CAP", 8)
