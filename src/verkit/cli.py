@@ -5,13 +5,16 @@ is deterministic, arbitrary-precision decimal on stdout, errors on stderr.
 Exit codes: 0 success, 1 cross-method disagreement under
 ``verlinde --method all`` and nothing else, 2 domain or usage error (error
 class name included in the message), 3 closed form cannot be rounded with
-certainty, which includes a closed form outside double range.
+certainty, which includes a closed form outside double range, 141 stdout
+closed by its reader (nothing is printed).  ``--dot`` and ``--json``
+exclude each other: giving both is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 
@@ -187,8 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
     genus = shared("--genus", type=int, required=True)
     legs = shared("--legs", type=int, required=True)
     bound = shared("--bound", type=int, required=True, help="level bound")
-    dot = shared("--dot", action="store_true")
     as_json = shared("--json", action="store_true")
+    view = argparse.ArgumentParser(add_help=False)  # --dot or --json
+    either = view.add_mutually_exclusive_group()
+    either.add_argument("--dot", action="store_true")
+    either.add_argument("--json", action="store_true")
 
     parser = argparse.ArgumentParser(
         prog="verkit",
@@ -229,10 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
             partial(_cmd_check, degree_one_generation_check, "points_checked"),
             graph, bound, as_json)
     p = command("graphs", "isomorphism classes of a signature", _cmd_graphs,
-                genus, legs, dot, as_json)
+                genus, legs, view)
     p.add_argument("--stable", action="store_true")
     command("flips", "flip adjacency of trivalent classes", _cmd_flips,
-            genus, legs, dot, as_json)
+            genus, legs, view)
     return parser
 
 
@@ -242,7 +248,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone after the last print shows here
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone: send what is still buffered nowhere, and
+        # report the status of a writer stopped by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (VerkitError, OSError) as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, NumericalResidual) else 2

@@ -170,15 +170,12 @@ class MarkedGraph:
         """
         index = {vid: i for i, (vid, _) in enumerate(self.vertices)}
         n = len(index)
-        valence = [0] * n
         loops = [0] * n
         neighbors: list[list[int]] = [[] for _ in range(n)]
         edges = []
         for a, b in self.edges:
             i, j = index[a], index[b]
             edges.append((i, j))
-            valence[i] += 1
-            valence[j] += 1
             if i == j:
                 loops[i] += 1
             else:
@@ -190,11 +187,12 @@ class MarkedGraph:
             i = index[v]
             legs.append(i)
             legs_at[i].append(lab)
-            valence[i] += 1
         genus = [g for _, g in self.vertices]
 
+        # the valence: non-loop edge ends, loops twice, and legs
         colors, count = _refine(*_rank([
-            (genus[i], valence[i], tuple(sorted(legs_at[i])), loops[i])
+            (genus[i], len(neighbors[i]) + 2 * loops[i] + len(legs_at[i]),
+             tuple(sorted(legs_at[i])), loops[i])
             for i in range(n)
         ]), neighbors)
         found = _Found()
@@ -375,9 +373,7 @@ def _search(
         )
 
 
-def _integer(
-    value, what: str, error: type[VerkitError] = BadGraphDocument
-) -> int:
+def _integer(value, what: str, error: type[VerkitError] = BadWeighting) -> int:
     """value as an int; ``error`` for a boolean, a float or any other value
     that is not an integer, where int() would truncate or accept."""
     if type(value) is int:
@@ -398,8 +394,8 @@ def _is_stable(genus: int, n_legs: int) -> bool:
 def _check_signature(genus: int, n_legs: int) -> tuple[int, int]:
     """The signature as ints; BadWeighting for a genus or leg count that is
     not an integer, UnstableSignature for a signature with no stable graph."""
-    genus = _integer(genus, "genus", BadWeighting)
-    n_legs = _integer(n_legs, "leg count", BadWeighting)
+    genus = _integer(genus, "genus")
+    n_legs = _integer(n_legs, "leg count")
     if not _is_stable(genus, n_legs):
         raise UnstableSignature(
             f"no stable graph with genus {genus} and {n_legs} legs"
@@ -435,8 +431,8 @@ def new_graph(
             if (type(v) is not int or type(g) is not int
                     or type(pair) is not tuple):
                 pair = (
-                    _integer(v, "vertex id"),
-                    _integer(g, "genus"),
+                    _integer(v, "vertex id", BadGraphDocument),
+                    _integer(g, "genus", BadGraphDocument),
                 )
             verts.append(pair)
         verts = tuple(verts)
@@ -455,8 +451,8 @@ def new_graph(
             a, b = edge
             if (type(a) is not int or type(b) is not int
                     or type(edge) is not tuple or a > b):
-                a = _integer(a, "edge end")
-                b = _integer(b, "edge end")
+                a = _integer(a, "edge end", BadGraphDocument)
+                b = _integer(b, "edge end", BadGraphDocument)
                 edge = (a, b) if a <= b else (b, a)
             if a not in valence or b not in valence:
                 raise DanglingReference(
@@ -473,8 +469,8 @@ def new_graph(
             v, lab = leg
             if (type(v) is not int or type(lab) is not int
                     or type(leg) is not tuple):
-                v = _integer(v, "leg vertex")
-                lab = _integer(lab, "leg label")
+                v = _integer(v, "leg vertex", BadGraphDocument)
+                lab = _integer(lab, "leg label", BadGraphDocument)
                 leg = (v, lab)
             if v not in valence:
                 raise DanglingReference(

@@ -59,9 +59,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BadWeighting, GraphMismatch, InstanceTooLarge
-from .graphs import MarkedGraph, require_tree, require_trivalent
-from .graphs import _integer as _read_integer
+from .errors import GraphMismatch, InstanceTooLarge
+from .graphs import MarkedGraph, _integer, require_tree, require_trivalent
 
 # Assignments the literal walk may visit, judged a priori: (bound+1)**width.
 _WALK_CAP = 10**8
@@ -145,14 +144,6 @@ class LevelledWeighting:
             },
             "level": self.level,
         }
-
-
-def _integer(value, what: str) -> int:
-    """value as an int; BadWeighting for a boolean, a float or any other
-    value that is not an integer."""
-    if type(value) is int:  # the common case, without the call below
-        return value
-    return _read_integer(value, what, BadWeighting)
 
 
 def _leg_vector(graph: MarkedGraph, leaf_weights) -> tuple[int, ...]:

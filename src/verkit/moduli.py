@@ -154,15 +154,13 @@ def _trivalent(genus: int, n_legs: int) -> tuple[MarkedGraph, ...]:
             _require_within_cap(count, "candidates")
     if (genus, n_legs) == (0, 3):
         return (trinode(),)
-    # Make the signatures this one is built from, from (0,3) up, so that
-    # no call recurses through more than one signature.
-    source = _source(genus, n_legs)
-    chain = [source]
+    # Make the signatures this one is built from, from (0,3) up to its own
+    # source, so that no call recurses through more than one signature.
+    chain = [_source(genus, n_legs)]
     while chain[-1] != (0, 3):
         chain.append(_source(*chain[-1]))
-    for sig in reversed(chain[1:]):
-        _trivalent(*sig)
-    sources = _trivalent(*source)
+    for source in reversed(chain):
+        sources = _trivalent(*source)
     found: dict[bytes, MarkedGraph] = {}
     if source == (genus, n_legs - 1):
         # a trivalent (g, n-1) class has 3g + 2n - 5 edge and leg slots
@@ -280,13 +278,13 @@ def _complex(
     classes: tuple[MarkedGraph, ...],
     pairs: frozenset[tuple[bytes, bytes]],
     trivalent: tuple[MarkedGraph, ...],
-    hasse: bool,
 ) -> StratumComplex:
-    """The flips among the trivalent classes, and the Hasse pairs if asked,
-    as indices into classes.  Two trivalent classes flip when one edge of
-    each contracts to a common ancestor; pairs holds every such contraction.
-    Loops need no filter: a contracted loop leaves a genus-1 vertex of
-    valence 1, and only one trivalent class smooths out to it."""
+    """The flips among the trivalent classes, and the Hasse pairs whose
+    contraction is one of the classes, as indices into classes.  Two
+    trivalent classes flip when one edge of each contracts to a common
+    ancestor; pairs holds every such contraction.  Loops need no filter: a
+    contracted loop leaves a genus-1 vertex of valence 1, and only one
+    trivalent class smooths out to it."""
     index = {g.canonical_label: i for i, g in enumerate(classes)}
     sources = {g.canonical_label for g in trivalent}
     groups: dict[bytes, list[int]] = {}
@@ -295,7 +293,7 @@ def _complex(
             groups.setdefault(c, []).append(index[a])
     flips = sorted((i, j, c) for c, group in groups.items()
                    for i in group for j in group if i != j)
-    edges = sorted((index[a], index[b]) for a, b in pairs) if hasse else []
+    edges = sorted((index[a], index[b]) for a, b in pairs if b in index)
     return StratumComplex(classes, tuple(edges), tuple(flips))
 
 
@@ -303,15 +301,17 @@ def contraction_poset(genus: int, n_legs: int) -> StratumComplex:
     """Hasse diagram of single contractions on all stable classes, plus
     flip adjacency among the trivalent ones."""
     signature = _check_signature(genus, n_legs)
-    return _complex(*_stable_closure(*signature), _trivalent(*signature), True)
+    return _complex(*_stable_closure(*signature), _trivalent(*signature))
 
 
 def flip_complex(genus: int, n_legs: int) -> StratumComplex:
-    """Flip structure restricted to the trivalent classes only."""
+    """Flip structure restricted to the trivalent classes only.  It has no
+    Hasse pairs: a contracted edge leaves a vertex of valence 4 or of genus
+    1, so no contraction of a trivalent class is trivalent."""
     trivalent = _trivalent(*_check_signature(genus, n_legs))
     pairs = frozenset((g.canonical_label, g.contract_edge(e).canonical_label)
                       for g in trivalent for e in range(len(g.edges)))
-    return _complex(trivalent, pairs, trivalent, False)
+    return _complex(trivalent, pairs, trivalent)
 
 
 def flip_connectivity(genus: int, n_legs: int) -> tuple[bool, int]:
@@ -355,11 +355,7 @@ def flip_dot(comp: StratumComplex) -> str:
     for i, g in enumerate(comp.classes):
         if g.is_trivalent():
             lines.append(f'  c{i} [label="{i}"];')
-    seen = set()
-    for i, j, _ in comp.flips:
-        pair = (min(i, j), max(i, j))
-        if pair not in seen:
-            seen.add(pair)
-            lines.append(f"  c{pair[0]} -- c{pair[1]};")
+    for i, j in sorted({(min(i, j), max(i, j)) for i, j, _ in comp.flips}):
+        lines.append(f"  c{i} -- c{j};")
     lines.append("}")
     return "\n".join(lines)

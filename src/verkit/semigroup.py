@@ -22,12 +22,11 @@ from operator import sub
 from typing import Iterator
 
 from .errors import BadWeighting, CounterexampleFound, GraphMismatch
-from .graphs import MarkedGraph, require_tree, require_trivalent
+from .graphs import MarkedGraph, _integer, require_tree, require_trivalent
 from .lattice import (
     LevelledWeighting,
     count_cox,
     count_points,
-    _integer,
     _leg_vector,
     _level_points,
 )
@@ -158,16 +157,16 @@ def gorenstein_check(
 
 
 def _first_difference(interior: list, shifted: list) -> tuple:
-    """(point, reason) for the first point of either lex-ordered list that
-    the other lacks: at the first index where they differ, the lesser."""
-    pairs = itertools.zip_longest(interior, shifted)
-    w, s = next((w, s) for w, s in pairs if w != s)
-    if s is None or (
-        w is not None
-        and w.edge_weights + w.leg_weights < s.edge_weights + s.leg_weights
-    ):
-        return w, "interior point is not a dualizing shift of the semigroup"
-    return s, "dualizing shift of a semigroup point is not interior"
+    """(point, reason) for the least point, by slot tuple, that is in one
+    list and not the other.  Both lists are duplicate-free and sorted by
+    slot tuple, so it is the lesser point where they first differ."""
+    inside = set(interior)
+    point = min(inside.symmetric_difference(shifted),
+                key=lambda p: p.edge_weights + p.leg_weights)
+    if point in inside:
+        return point, ("interior point is not a dualizing shift of the "
+                       "semigroup")
+    return point, "dualizing shift of a semigroup point is not interior"
 
 
 # -- degree-1 generation ----------------------------------------------------

@@ -29,12 +29,13 @@ from .errors import InstanceTooLarge, NumericalResidual
 from .graphs import (
     MarkedGraph,
     _check_signature,
+    _integer,
     caterpillar,
     dumbbell,
     loop_with_leg,
     new_graph,
 )
-from .lattice import _integer, admissible_triple_level, count_points
+from .lattice import admissible_triple_level, count_points
 
 # Terms a level loop may take, one per weight 0..L: past it the closed
 # form's term list alone would hold tens of MB.

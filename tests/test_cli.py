@@ -452,6 +452,30 @@ def test_console_entry_point_end_to_end():
     assert proc.stdout == "8\n8\n8\n"
 
 
+def test_a_closed_stdout_exits_141_and_prints_nothing():
+    """graphs (0,7) writes more than a pipe buffer holds; the reader takes
+    one line and closes the pipe, as ``| head -1`` does."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "verkit.cli", "graphs", "--genus", "0",
+         "--legs", "7"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"0 ")
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+        assert proc.stderr.read() == b""
+
+
+@pytest.mark.parametrize("command", ["graphs", "flips"])
+def test_dot_and_json_exclude_each_other(command, capsys):
+    code = main([command, "--genus", "0", "--legs", "4", "--dot", "--json"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--json: not allowed with argument --dot" in err
+
+
 # Every subcommand's options, read from the parser: option string ->
 # (required, default, choices, type, nargs).  A refactor of the parser must
 # leave this table as it is.

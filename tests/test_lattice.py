@@ -737,3 +737,20 @@ def test_plans_are_pinned():
     for graph in _plan_pin_graphs():
         digest.update(repr(lattice._compile(graph)).encode())
     assert digest.hexdigest() == PLAN_DIGEST
+
+
+def test_count_cox_is_zero_below_level_zero():
+    assert count_cox(trinode(), -1) == 0
+
+
+def test_no_leaf_weights_read_as_an_empty_vector():
+    for L in range(5):
+        assert count_points(theta_graph(), None, L) == count_points(
+            theta_graph(), (), L
+        )
+
+
+def test_a_weighting_adds_only_to_a_weighting():
+    w = LevelledWeighting(trinode(), (), (1, 1, 0), 1)
+    with pytest.raises(TypeError):
+        w + 1

@@ -422,3 +422,9 @@ def test_stratification_outputs_are_pinned():
     assert digest.hexdigest() == (
         "159de4608a8c7c2e66ddf7affb824af3fe177750a8af581a2eb08d0b14508933"
     )
+
+
+def test_flip_connectivity_reports_a_disconnected_complex(monkeypatch):
+    two = StratumComplex((caterpillar(4), trinode()), (), ())
+    monkeypatch.setattr(moduli, "flip_complex", lambda genus, n_legs: two)
+    assert flip_connectivity(0, 4) == (False, -1)
