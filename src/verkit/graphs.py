@@ -164,7 +164,11 @@ class MarkedGraph:
         of a cell in the orbit of a vertex already tried there, under the
         automorphisms found so far that fix the vertices individualized
         above the cell, since its subtree is an image of one already
-        visited and holds the same encodings.  Past ``_LEAF_CAP`` encoded
+        visited and holds the same encodings.  For the same reason a leaf
+        that ties with the least jumps the search back to the node where
+        the two leaves' paths part: the automorphism they give maps the
+        least leaf's finished subtree there onto the rest of this one's,
+        which then holds no new encoding.  Past ``_LEAF_CAP`` encoded
         leaves the search raises InstanceTooLarge.  No use of hash(), so
         labels are stable across processes and platforms.
         """
@@ -253,8 +257,8 @@ def _merged(edge: tuple[int, int], a: int, b: int) -> tuple[int, int]:
 # -- canonical labelling ---------------------------------------------------
 
 # Leaves the label search may encode before it refuses.  The pruned search
-# encodes at most 8 on the stable classes of (0,3)..(0,8), (1,1)..(1,4),
-# (2,0)..(2,2), (3,0), (3,1) and (4,0), and 25 on the genus-24 tree with a
+# encodes at most 6 on the stable classes of (0,3)..(0,8), (1,1)..(1,4),
+# (2,0)..(2,2), (3,0), (3,1) and (4,0), and 24 on the genus-24 tree with a
 # loop on each leaf, whose unpruned search has 3! * 2**21 leaves.
 _LEAF_CAP = 10**4
 
@@ -299,13 +303,14 @@ def _encode(pi: list[int], genus: list[int], edges: list, legs: list) -> tuple:
 
 class _Found:
     """A label search so far: the least encoding, the vertex order (the
-    leaf's colours) that gave it, the automorphisms that ties with it gave,
-    and the number of leaves encoded."""
+    leaf's colours) and the individualized vertices (``fixed``) that gave
+    it, the automorphisms that ties with it gave, and the number of leaves
+    encoded."""
 
-    __slots__ = ("least", "order", "autos", "leaves")
+    __slots__ = ("least", "order", "path", "autos", "leaves")
 
     def __init__(self) -> None:
-        self.least = self.order = None
+        self.least = self.order = self.path = None
         self.autos: list[list[int]] = []
         self.leaves = 0
 
@@ -319,11 +324,14 @@ def _root(parent: list[int], v: int) -> int:
 def _search(
     colors: list[int], count: int, fixed: tuple[int, ...], graph: tuple,
     found: _Found,
-) -> None:
+) -> int:
     """Visit the subtree of the node that individualized ``fixed`` in turn
-    and refined to ``colors``, recording its leaves in ``found``.
+    and refined to ``colors``, recording its leaves in ``found``, and
+    return the depth of the node the search goes on at: the parent's, or
+    a shallower one when a leaf ties with the least.
 
     ``graph`` is (neighbours, genus, edges, legs) on vertex indices."""
+    depth = len(fixed)
     if count == len(colors):  # a leaf: the colours are the vertex order
         found.leaves += 1
         if found.leaves > _LEAF_CAP:
@@ -333,13 +341,19 @@ def _search(
             )
         code = _encode(colors, *graph[1:])
         if found.least is None or code < found.least:
-            found.least, found.order = code, colors
+            found.least, found.order, found.path = code, colors, fixed
         elif code == found.least:
             inverse = [0] * count
             for v, c in enumerate(found.order):
                 inverse[c] = v
             found.autos.append([inverse[c] for c in colors])
-        return
+            # Both leaves went through the node at the depth where their
+            # paths part, so the automorphism fixes the path above it and
+            # maps the least leaf's finished subtree there onto this
+            # leaf's: the rest of it holds no new encoding.
+            return next(d for d, (u, v) in enumerate(zip(fixed, found.path))
+                        if u != v)
+        return depth - 1
     size = [0] * count
     for c in colors:
         size[c] += 1
@@ -367,10 +381,13 @@ def _search(
         merged = len(found.autos)
         if _root(parent, v) != v:
             continue
-        _search(
+        back = _search(
             *_refine(up[:v] + [least] + up[v + 1:], count + 1, graph[0]),
             fixed + (v,), graph, found,
         )
+        if back < depth:
+            return back
+    return depth - 1
 
 
 def _integer(value, what: str, error: type[VerkitError] = BadWeighting) -> int:

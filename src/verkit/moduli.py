@@ -22,17 +22,24 @@ work only when a process asks about a signature more than once (say
 Flip sets are read off the single contractions on every call and never
 kept.
 
-Generation is capped.  A signature counts its candidates before it builds
-one: the 3g + 2n - 5 slots of each (g, n-1) class it inserts into, or
-the (g-1, n+2) classes it glues; the stable closure counts its
-contractions as it makes them.  Past _CLASS_CAP either raises InstanceTooLarge.  In genus 0 the
-count is known before (0, n-1) is built, (2n-5)!!, so a signature past the
-cap is refused before any class is built.
+Generation is capped, and judged before any class is built.  From (0,3)
+up the chain of signatures it builds from, an exact rational lower bound
+on each signature's classes gives a lower bound on its candidates (the
+3g + 2n - 5 slots of each (g, n-1) class it inserts into, or the
+(g-1, n+2) classes it glues), and the first signature past _CLASS_CAP
+raises InstanceTooLarge.  The bound is exact in genus 0, (2n-5)!! for
+(0,n); it refuses (1,1000) at (1,9) with 5,160,960 candidates and
+(1000,0) at (9,2) with 4,892,388.  As a backstop, each signature counts
+the candidates of its built source classes before it makes one, and the
+stable closure counts its contractions as it makes them, against the same
+cap.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InstanceTooLarge
@@ -141,25 +148,51 @@ def _source(genus: int, n_legs: int) -> tuple[int, int]:
     return genus - 1, n_legs + 2
 
 
-@lru_cache(maxsize=None)
-def _trivalent(genus: int, n_legs: int) -> tuple[MarkedGraph, ...]:
-    if genus == 0:
-        # Every genus-0 candidate is a distinct class, so (0,k) has exactly
-        # 3 * 5 * ... * (2k-5) of them: refuse the first signature up to
-        # this one that passes the cap, as building them in turn would,
-        # before any is built.
-        count = 1
-        for slots in range(3, 2 * n_legs - 4, 2):
-            count *= slots
-            _require_within_cap(count, "candidates")
-    if (genus, n_legs) == (0, 3):
-        return (trinode(),)
-    # Make the signatures this one is built from, from (0,3) up to its own
-    # source, so that no call recurses through more than one signature.
-    chain = [_source(genus, n_legs)]
+def _chain(genus: int, n_legs: int) -> list[tuple[int, int]]:
+    """The signature, the one it is built from, and so on down to (0,3)."""
+    chain = [(genus, n_legs)]
     while chain[-1] != (0, 3):
         chain.append(_source(*chain[-1]))
-    for source in reversed(chain):
+    return chain
+
+
+def _mass_bound(chain: list[tuple[int, int]]) -> Fraction:
+    """A lower bound on the classes of the chain's top signature;
+    InstanceTooLarge, before any class is built, at the first signature
+    from (0,3) up whose candidates pass _CLASS_CAP.
+
+    The bound is a lower bound on the mass, the sum of 1/|Aut| over the
+    classes, so on their number; in genus 0, where no class has an
+    automorphism, it equals both.  By orbit-stabilizer, inserting a leg into the
+    3g + 2n - 5 slots of each (g, n-1) class multiplies the mass by the
+    slot count.  Each (g-1, n+2) class is a (g, n) class with one oriented
+    non-separating edge, and a (g, n) class has at most 2(3g - 3 + n) of
+    those, so gluing divides it by at most that.  A signature's candidates
+    number its source's classes times the slots, or its source's classes
+    when it glues."""
+    mass = Fraction(1)  # (0,3): the tripod
+    bottom_up = chain[::-1]
+    for source, (genus, n_legs) in zip(bottom_up, bottom_up[1:]):
+        if source == (genus, n_legs - 1):
+            mass *= 3 * genus + 2 * n_legs - 5
+            candidates = mass
+        else:
+            candidates = mass
+            mass /= 2 * (3 * genus - 3 + n_legs)
+        _require_within_cap(math.ceil(candidates), "candidates")
+    return mass
+
+
+@lru_cache(maxsize=None)
+def _trivalent(genus: int, n_legs: int) -> tuple[MarkedGraph, ...]:
+    if (genus, n_legs) == (0, 3):
+        return (trinode(),)
+    # Judge the whole chain below this signature against the cap, then
+    # make it from the bottom up, so that no call recurses through more
+    # than one signature.
+    chain = _chain(genus, n_legs)
+    _mass_bound(chain)
+    for source in reversed(chain[1:]):
         sources = _trivalent(*source)
     found: dict[bytes, MarkedGraph] = {}
     if source == (genus, n_legs - 1):

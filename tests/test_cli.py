@@ -7,6 +7,7 @@ import json
 import shlex
 import subprocess
 import sys
+import time
 from decimal import Decimal
 
 import pytest
@@ -414,6 +415,25 @@ def test_deep_signatures_are_refused_by_the_cap(monkeypatch, capsys):
         code = main([command, "--genus", genus, "--legs", legs])
         assert code == 2
         assert "InstanceTooLarge" in capsys.readouterr().err
+
+
+def test_deep_signatures_are_refused_before_building(monkeypatch, capsys):
+    # With the real cap, the lower bound walked up each chain refuses these
+    # at (1,9) and (9,2) before a single class is built
+    def refuse(*args):
+        raise AssertionError("built a candidate")
+
+    monkeypatch.setattr(moduli, "_insert_leg", refuse)
+    monkeypatch.setattr(moduli, "_glue_top_legs", refuse)
+    for command, genus, legs, count in [("graphs", "1", "1000", 5160960),
+                                        ("graphs", "1000", "0", 4892388),
+                                        ("flips", "400", "0", 4892388)]:
+        start = time.perf_counter()
+        code = main([command, "--genus", genus, "--legs", legs])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "InstanceTooLarge" in err and f"{count} candidates" in err
 
 
 def test_level_loop_too_large_exits_two(monkeypatch, capsys):

@@ -329,6 +329,29 @@ def test_label_search_is_bounded_by_leaves(monkeypatch, tmp_path, capsys):
     assert caterpillar(8).canonical_label  # a discrete root encodes one leaf
 
 
+def test_tied_leaves_jump_the_search_back(monkeypatch):
+    """A leaf that ties with the least ends the subtree below the node where
+    the two leaves' paths part.  Without that jump K4, the cube,
+    Moebius-Kantor, Nauru, the dodecahedron and loop_tree_2 encode 7
+    leaves, K33, Petersen and Desargues 8, and Heawood 11; with it K33
+    encodes 6, Petersen 5 and loop_tree_3 12."""
+    monkeypatch.setattr(graphs, "_LEAF_CAP", 6)
+    for name, graph in SYMMETRIC.items():
+        for seed in range(3):
+            copy = _relabeled(graph, seed)
+            if name == "loop_tree_3":
+                with pytest.raises(InstanceTooLarge, match="cap 6"):
+                    copy.canonical_label
+            else:
+                assert copy.canonical_label == graph.canonical_label
+    monkeypatch.setattr(graphs, "_LEAF_CAP", 5)
+    with pytest.raises(InstanceTooLarge, match="cap 5"):
+        _relabeled(SYMMETRIC["K33"], 4).canonical_label
+    monkeypatch.setattr(graphs, "_LEAF_CAP", 4)
+    with pytest.raises(InstanceTooLarge, match="cap 4"):
+        _relabeled(SYMMETRIC["petersen"], 4).canonical_label
+
+
 def test_labelling_leaves_no_cyclic_garbage():
     graphs_ = [_relabeled(SYMMETRIC["K33"], 3),
                _relabeled(SYMMETRIC["petersen"], 3), caterpillar(8)]

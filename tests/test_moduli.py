@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -309,6 +310,27 @@ def test_class_generation_is_capped(monkeypatch):
     assert len(moduli._trivalent.__wrapped__(0, 6)) == 105
     with pytest.raises(InstanceTooLarge, match="contractions"):
         moduli._stable_closure.__wrapped__(0, 6)
+
+
+def test_class_bound_is_a_lower_bound_on_the_classes():
+    # exact in genus 0, where no class has an automorphism
+    for genus, n_legs in [(g, n) for g in range(4) for n in range(8)
+                          if 0 < 2 * g - 2 + n <= 5]:
+        bound = moduli._mass_bound(moduli._chain(genus, n_legs))
+        count = len(enumerate_trivalent(genus, n_legs))
+        assert bound == count if genus == 0 else bound <= count
+    # the (1,n) bounds are the masses, the sums of 1/|Aut|
+    assert [moduli._mass_bound(moduli._chain(1, n)) for n in range(1, 6)] == [
+        Fraction(1, 2), 1, 4, 24, 192
+    ]
+    # the first signatures the real cap refuses on two deep chains
+    moduli._mass_bound(moduli._chain(1, 8))
+    with pytest.raises(InstanceTooLarge, match="5160960 candidates"):
+        moduli._mass_bound(moduli._chain(1, 9))
+    moduli._mass_bound(moduli._chain(9, 1))
+    with pytest.raises(InstanceTooLarge, match="4892388 candidates"):
+        moduli._mass_bound(moduli._chain(9, 2))
+    assert (9, 2) in moduli._chain(1000, 0) and (9, 2) in moduli._chain(400, 0)
 
 
 def _pair_ids(g):
