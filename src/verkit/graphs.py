@@ -568,13 +568,7 @@ def caterpillar(n: int) -> MarkedGraph:
     s = n - 2
     verts = [(i, 0) for i in range(s)]
     edges = [(i, i + 1) for i in range(s - 1)]
-    if s == 1:
-        legs = [(0, 1), (0, 2), (0, 3)]
-    else:
-        legs = [(0, 1), (0, 2)]
-        for i in range(1, s - 1):
-            legs.append((i, i + 2))
-        legs += [(s - 1, n - 1), (s - 1, n)]
+    legs = [(0, 1)] + [(i, i + 2) for i in range(s)] + [(s - 1, n)]
     return new_graph(verts, edges, legs)
 
 

@@ -65,6 +65,8 @@ from .graphs import MarkedGraph, _integer, require_tree, require_trivalent
 # Assignments the literal walk may visit, judged a priori: (bound+1)**width.
 _WALK_CAP = 10**8
 # Entries the tensor route may hold in one array: 512 MiB of float64.
+# Building T peaks near 1.13 times T's own bytes, its 0/1 mask beside the
+# float64 copy: about 580 MiB at level 405, the top level the cap admits.
 _TENSOR_CAP = 2**26
 
 
@@ -274,7 +276,9 @@ def _kernels(level: int) -> tuple:
     kernels = _kernel_cache.get(level)
     if kernels is not None:
         return kernels
-    r = np.arange(level + 1)
+    # _contract refuses every level past 405, so each slot sum (at most
+    # 3 * 405) fits in int16, and T's build holds little beside T itself
+    r = np.arange(level + 1, dtype=np.int16)
     a, b, c = r[:, None, None], r[None, :, None], r[None, None, :]
     ok = (
         (np.abs(a - b) <= c)

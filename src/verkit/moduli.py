@@ -5,14 +5,10 @@ with its contraction (ancestor) Hasse diagram, cone dimensions, and the flip
 moves connecting trivalent classes through common one-edge-contraction
 ancestors.
 
-Generation is exhaustive-with-dedup, with one route per signature, built
-from (0,3) up in a loop, so a deep signature meets no recursion limit.
-Wherever (g, n-1) is stable, the classes come from inserting leg n into
-every edge and leg slot of the (g, n-1) classes (removing leg n and
-smoothing its vertex inverts this, so insertion alone reaches every
-class).  Only where insertion cannot reach, at n = 0 and at
-(1,1), do they come from gluing the top two legs of the (g-1, n+2) classes
-(cutting any cycle edge inverts this).  Canonical labels dedup everything;
+Generation is exhaustive-with-dedup, with one route per signature: each
+is built from the signature before it on the chain from (0,3) up that
+`_chain` yields (its docstring states the order), in a loop, so a deep
+signature meets no recursion limit.  Canonical labels dedup everything;
 output is sorted by label, so ordering is stable across runs.
 
 Each signature's trivalent classes and stable closure (classes and Hasse
@@ -22,31 +18,31 @@ work only when a process asks about a signature more than once (say
 Flip sets are read off the single contractions on every call and never
 kept.
 
-Generation is capped, and judged before any class is built.  From (0,3)
-up the chain of signatures it builds from, an exact rational lower bound
-on each signature's classes gives a lower bound on its candidates (the
-3g + 2n - 5 slots of each (g, n-1) class it inserts into, or the
-(g-1, n+2) classes it glues), and the first signature past _CLASS_CAP
-raises InstanceTooLarge.  The bound is exact in genus 0, (2n-5)!! for
-(0,n); it refuses (1,1000) at (1,9) with 5,160,960 candidates and
-(1000,0) at (9,2) with 4,892,388.  As a backstop, each signature counts
-the candidates of its built source classes before it makes one, and the
-stable closure counts its contractions as it makes them, against the same
-cap.
+Generation is capped, and judged before any class is built: walking the
+chain from (0,3) up as it is yielded, an exact rational lower bound on
+each signature's classes bounds its candidates (`_candidates`), and the
+first signature past _CLASS_CAP raises InstanceTooLarge, a handful of
+steps in whatever size was asked.  The bound is exact in genus 0; it
+refuses (1,1000) at (1,9) with 5,160,960 candidates and (1000,0) at
+(9,2) with 4,892,388.  As a backstop, each signature counts the
+candidates of its built source classes before it makes one, and the
+stable closure counts its contractions as it makes them, against the
+same cap.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable, Iterator
 
 from .errors import InstanceTooLarge
 from .graphs import (
     MarkedGraph,
     _check_signature,
-    _is_stable,
     new_graph,
     require_trivalent,
     trinode,
@@ -141,45 +137,52 @@ def enumerate_trivalent(genus: int, n_legs: int) -> tuple[MarkedGraph, ...]:
     return _trivalent(*_check_signature(genus, n_legs))
 
 
-def _source(genus: int, n_legs: int) -> tuple[int, int]:
-    """The signature whose classes (genus, n_legs)'s are built from."""
-    if _is_stable(genus, n_legs - 1):
-        return genus, n_legs - 1
-    return genus - 1, n_legs + 2
+def _chain(genus: int, n_legs: int) -> Iterator[tuple[int, int]]:
+    """(0,3), then each signature in the order it is built, up to
+    (genus, n_legs): for g = 0, 1, ..., genus, the leg counts from 4
+    (g = 0), 1 (g = 1) or 0 (g >= 2) up to 2, or up to n_legs at g = genus.
+
+    Each signature is built from the one before it.  Where that is
+    (g, n-1), the (g, n) classes come from inserting leg n into every edge
+    and leg slot of its classes (removing leg n and smoothing its vertex
+    inverts this, so insertion alone reaches every class).  Only where
+    (g, n-1) is unstable, at n = 0 and at (1,1), do they come from gluing
+    the top two legs of the (g-1, n+2) classes (cutting any cycle edge
+    inverts this).  Lazy, so a bound walking it stops where it refuses."""
+    yield 0, 3
+    for g in range(genus + 1):
+        first = 4 if g == 0 else 1 if g == 1 else 0
+        for n in range(first, (n_legs if g == genus else 2) + 1):
+            yield g, n
 
 
-def _chain(genus: int, n_legs: int) -> list[tuple[int, int]]:
-    """The signature, the one it is built from, and so on down to (0,3)."""
-    chain = [(genus, n_legs)]
-    while chain[-1] != (0, 3):
-        chain.append(_source(*chain[-1]))
-    return chain
+def _candidates(classes, source, genus: int, n_legs: int):
+    """The candidates (genus, n_legs) makes from the given number of its
+    source's classes: one per edge and leg slot of each, 3g + 2n - 5 of
+    them, where it inserts leg n, and one per class where it glues."""
+    if source == (genus, n_legs - 1):
+        return classes * (3 * genus + 2 * n_legs - 5)
+    return classes
 
 
-def _mass_bound(chain: list[tuple[int, int]]) -> Fraction:
+def _mass_bound(chain: Iterable[tuple[int, int]]) -> Fraction:
     """A lower bound on the classes of the chain's top signature;
     InstanceTooLarge, before any class is built, at the first signature
     from (0,3) up whose candidates pass _CLASS_CAP.
 
     The bound is a lower bound on the mass, the sum of 1/|Aut| over the
     classes, so on their number; in genus 0, where no class has an
-    automorphism, it equals both.  By orbit-stabilizer, inserting a leg into the
-    3g + 2n - 5 slots of each (g, n-1) class multiplies the mass by the
-    slot count.  Each (g-1, n+2) class is a (g, n) class with one oriented
+    automorphism, it equals both.  By orbit-stabilizer, inserting a leg
+    into every slot of each (g, n-1) class multiplies the mass by the slot
+    count.  Each (g-1, n+2) class is a (g, n) class with one oriented
     non-separating edge, and a (g, n) class has at most 2(3g - 3 + n) of
-    those, so gluing divides it by at most that.  A signature's candidates
-    number its source's classes times the slots, or its source's classes
-    when it glues."""
+    those, so gluing divides it by at most that."""
     mass = Fraction(1)  # (0,3): the tripod
-    bottom_up = chain[::-1]
-    for source, (genus, n_legs) in zip(bottom_up, bottom_up[1:]):
-        if source == (genus, n_legs - 1):
-            mass *= 3 * genus + 2 * n_legs - 5
-            candidates = mass
-        else:
-            candidates = mass
+    for source, (genus, n_legs) in itertools.pairwise(chain):
+        mass = _candidates(mass, source, genus, n_legs)
+        _require_within_cap(math.ceil(mass), "candidates")
+        if source != (genus, n_legs - 1):
             mass /= 2 * (3 * genus - 3 + n_legs)
-        _require_within_cap(math.ceil(candidates), "candidates")
     return mass
 
 
@@ -187,28 +190,21 @@ def _mass_bound(chain: list[tuple[int, int]]) -> Fraction:
 def _trivalent(genus: int, n_legs: int) -> tuple[MarkedGraph, ...]:
     if (genus, n_legs) == (0, 3):
         return (trinode(),)
-    # Judge the whole chain below this signature against the cap, then
-    # make it from the bottom up, so that no call recurses through more
-    # than one signature.
-    chain = _chain(genus, n_legs)
-    _mass_bound(chain)
-    for source in reversed(chain[1:]):
+    # judge the whole chain against the cap, then make it from the bottom
+    # up, so that no call recurses through more than one signature
+    _mass_bound(_chain(genus, n_legs))
+    for source, _ in itertools.pairwise(_chain(genus, n_legs)):
         sources = _trivalent(*source)
-    found: dict[bytes, MarkedGraph] = {}
+    count = _candidates(len(sources), source, genus, n_legs)
+    _require_within_cap(count, "candidates")
     if source == (genus, n_legs - 1):
-        # a trivalent (g, n-1) class has 3g + 2n - 5 edge and leg slots
-        _require_within_cap(
-            len(sources) * (3 * genus + 2 * n_legs - 5), "candidates"
-        )
-        for g in sources:
-            for slot in range(len(g.edges) + g.n_legs):
-                cand = _insert_leg(g, slot, n_legs)
-                found.setdefault(cand.canonical_label, cand)
+        made = (_insert_leg(g, slot, n_legs) for g in sources
+                for slot in range(len(g.edges) + g.n_legs))
     else:
-        _require_within_cap(len(sources), "candidates")
-        for g in sources:
-            cand = _glue_top_legs(g, n_legs)
-            found.setdefault(cand.canonical_label, cand)
+        made = (_glue_top_legs(g, n_legs) for g in sources)
+    found: dict[bytes, MarkedGraph] = {}
+    for cand in made:
+        found.setdefault(cand.canonical_label, cand)
     return tuple(found[k] for k in sorted(found))
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from operator import sub
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import BadWeighting, CounterexampleFound, GraphMismatch
 from .graphs import MarkedGraph, _integer, require_tree, require_trivalent
@@ -30,6 +30,7 @@ from .lattice import (
     _leg_vector,
     _level_points,
 )
+from .verlinde import _cap_terms
 
 
 # -- Hilbert tables --------------------------------------------------------
@@ -63,11 +64,23 @@ class HilbertTable:
         }
 
 
+def _table(entry: Callable[[int], int], top: int) -> tuple[int, ...]:
+    """entry(0), ..., entry(top).  InstanceTooLarge, before any entry is
+    made, when they pass _LEVEL_CAP; entry(top), the costliest, is made
+    first, so a table the tensor cap cannot finish is refused before any
+    other entry is built."""
+    _cap_terms(top + 1, "table entries")
+    if top < 0:
+        return ()
+    last = entry(top)
+    return tuple(entry(k) for k in range(top)) + (last,)
+
+
 def hilbert_cox(graph: MarkedGraph, max_level: int) -> HilbertTable:
     """Dimensions of the level-graded pieces with legs summed out."""
     require_trivalent(graph)
     top = _integer(max_level, "max level")
-    values = tuple(count_cox(graph, L) for L in range(top + 1))
+    values = _table(lambda L: count_cox(graph, L), top)
     return HilbertTable(graph, "cox", None, values)
 
 
@@ -78,9 +91,9 @@ def hilbert_projective(
     require_trivalent(graph)
     r = _leg_vector(graph, leaf_weights)
     level = _integer(level, "level")
-    values = tuple(
-        count_points(graph, tuple(N * x for x in r), N * level)
-        for N in range(_integer(max_degree, "max degree") + 1)
+    values = _table(
+        lambda N: count_points(graph, tuple(N * x for x in r), N * level),
+        _integer(max_degree, "max degree"),
     )
     return HilbertTable(graph, "projective", (r, level), values)
 

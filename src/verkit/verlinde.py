@@ -37,8 +37,9 @@ from .graphs import (
 )
 from .lattice import admissible_triple_level, count_points
 
-# Terms a level loop may take, one per weight 0..L: past it the closed
-# form's term list alone would hold tens of MB.
+# Terms a level loop may take, one per weight 0..L, and entries a Hilbert
+# table may hold: past it the closed form's term list alone would hold tens
+# of MB.
 _LEVEL_CAP = 2**20
 # Steps the sewing sum may take, judged a priori by _sew_steps: one per
 # level-rule test, and one more per _STEP_BITS bits of the longest int
@@ -48,13 +49,17 @@ _SEW_CAP = 10**8
 _STEP_BITS = 2**14
 
 
+def _cap_terms(terms: int, what: str) -> None:
+    """InstanceTooLarge when a loop would take more than _LEVEL_CAP terms;
+    what names them in the message."""
+    if terms > _LEVEL_CAP:
+        raise InstanceTooLarge(f"{terms} {what} exceeds the cap {_LEVEL_CAP}")
+
+
 def _cap_level(level: int) -> None:
     """InstanceTooLarge when a loop over the weights 0..level would take
     more than _LEVEL_CAP terms."""
-    if level + 1 > _LEVEL_CAP:
-        raise InstanceTooLarge(
-            f"{level + 1} terms at level {level} exceeds the cap {_LEVEL_CAP}"
-        )
+    _cap_terms(level + 1, f"terms at level {level}")
 
 
 def fusion_coeff(a: int, b: int, c: int, level: int) -> int:

@@ -14,10 +14,10 @@ import pytest
 
 from verkit import (
     MarkedGraph, caterpillar, cli, dumbbell, enumerate_stable, lattice,
-    moduli, theta_graph, trinode,
+    moduli, semigroup, theta_graph, trinode,
 )
 from verkit.cli import build_parser, main
-from verkit.errors import NumericalResidual
+from verkit.errors import InstanceTooLarge, NumericalResidual
 
 
 @pytest.fixture
@@ -188,6 +188,40 @@ def test_hilbert_projective_requires_base(trinode_file, tmp_path, capsys):
                  "--max", "4"])
     assert code == 2
     assert "error [BadWeighting]" in capsys.readouterr().err
+
+
+def test_huge_hilbert_tables_are_refused_at_their_top_entry(
+        trinode_file, monkeypatch, capsys):
+    # A table of more than 2**20 entries is refused before its loop, and a
+    # table that fits has its top entry, the costliest, made first, so the
+    # tensor cap refuses it before any other entry is built.
+    made = []
+
+    def recording(count):
+        def wrapped(graph, *args):
+            assert not made, f"made entries at {made} and then {args}"
+            made.append(args)
+            return count(graph, *args)
+        return wrapped
+
+    monkeypatch.setattr(semigroup, "count_points",
+                        recording(semigroup.count_points))
+    monkeypatch.setattr(semigroup, "count_cox", recording(semigroup.count_cox))
+    for table, entries in [
+        (lambda: semigroup.hilbert_cox(trinode(), 10**6), [(10**6,)]),
+        (lambda: semigroup.hilbert_projective(trinode(), (0, 0, 0), 0,
+                                              3 * 10**6), []),
+    ]:
+        made.clear()
+        with pytest.raises(InstanceTooLarge):
+            table()
+        assert made == entries
+    code = main(["hilbert", "--graph", trinode_file, "--grading", "projective",
+                 "--base-weights", "0,0,0", "--base-level", "0",
+                 "--max", "1000000000"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "InstanceTooLarge" in err and "1000000001 table entries" in err
 
 
 def test_gorenstein_cli(trinode_file, capsys):

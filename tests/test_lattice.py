@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 import weakref
 from functools import partial
 
@@ -360,6 +361,18 @@ def test_level_cache_is_bounded():
     held = sum(t.nbytes + d.nbytes for t, d in cache.values())
     assert held == 8 * sum(n**3 + n for n in range(1, 65)) < 35 * 10**6
     assert lattice._kernels(120)[0] is not lattice._kernels(120)[0]
+
+
+def test_building_t_holds_little_beside_t():
+    # level 100 is not cached, so T is built under the trace; in int64 its
+    # slot sums alone held as many bytes as T
+    tracemalloc.start()
+    try:
+        t, _ = lattice._kernels(100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * t.nbytes
 
 def test_count_classical_examples():
     assert count_classical(trinode(), (1, 1, 0)) == 1

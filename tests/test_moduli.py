@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,7 @@ from verkit import (
     trinode,
 )
 from verkit import moduli
+from verkit.cli import main
 
 
 def test_trivalent_class_counts():
@@ -331,6 +333,49 @@ def test_class_bound_is_a_lower_bound_on_the_classes():
     with pytest.raises(InstanceTooLarge, match="4892388 candidates"):
         moduli._mass_bound(moduli._chain(9, 2))
     assert (9, 2) in moduli._chain(1000, 0) and (9, 2) in moduli._chain(400, 0)
+
+
+def _chain_top_down(genus, n_legs):
+    """The signature, the one it is built from, and so on down to (0,3):
+    leg n is inserted where (g, n-1) is stable, else (g-1, n+2) is glued."""
+    chain = [(genus, n_legs)]
+    while chain[-1] != (0, 3):
+        g, n = chain[-1]
+        stable = n >= 1 and 2 * g - 2 + n - 1 > 0
+        chain.append((g, n - 1) if stable else (g - 1, n + 2))
+    return chain
+
+
+def test_chain_is_the_top_down_rule_bottom_up():
+    for genus in range(40):
+        for n_legs in range(40):
+            if 2 * genus - 2 + n_legs > 0:
+                assert list(moduli._chain(genus, n_legs)) == (
+                    _chain_top_down(genus, n_legs)[::-1]), (genus, n_legs)
+
+
+def test_class_cap_refuses_before_listing_the_chain(capsys):
+    # the chain is walked as it is yielded, so a refusal near its bottom
+    # holds nothing of the million signatures above it
+    def peak_of(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def refused(signature, count):
+        with pytest.raises(InstanceTooLarge, match=f"{count} candidates"):
+            enumerate_trivalent(*signature)
+
+    def exits_two():
+        assert main(["graphs", "--genus", "0", "--legs", "1000000"]) == 2
+
+    assert peak_of(lambda: refused((0, 10**6), 2027025)) < 10**6
+    assert peak_of(lambda: refused((10**6, 0), 4892388)) < 10**6
+    assert peak_of(exits_two) < 10**6
+    assert "2027025 candidates" in capsys.readouterr().err
 
 
 def _pair_ids(g):
