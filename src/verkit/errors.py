@@ -61,9 +61,11 @@ class InstanceTooLarge(VerkitError):
     sum (verlinde_factor) of more than 10**8 steps priced by the length of
     its ints, each refused before it starts; a signature whose classes
     would come from more than 10**6 candidates, refused before they are
-    built, or whose stable closure makes more than 10**6 contractions; or a
-    canonical label search that encodes more than 10**4 leaves, refused as
-    it runs."""
+    built, or whose stable closure makes more than 10**6 contractions; a
+    flip diameter whose reach sets would hold more than 2**28 bits, refused
+    before the classes are built and again once they are; or a canonical
+    label search that encodes more than 10**4 leaves, refused as it
+    runs."""
 
 
 class BadWeighting(VerkitError):

@@ -403,6 +403,15 @@ def _integer(value, what: str, error: type[VerkitError] = BadWeighting) -> int:
         raise error(f"{what} {value!r} is not an integer") from None
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """values as a tuple of ints, BadWeighting as _integer gives it.  A
+    tuple whose items are all exactly int is returned as it is, after one
+    pass over their types; anything else is read item by item."""
+    if type(values) is tuple and all(type(x) is int for x in values):
+        return values
+    return tuple([_integer(x, what) for x in values])
+
+
 def _is_stable(genus: int, n_legs: int) -> bool:
     """Does the (genus, legs) signature have a stable graph?"""
     return genus >= 0 and n_legs >= 0 and 2 * genus - 2 + n_legs > 0

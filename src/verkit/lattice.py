@@ -14,11 +14,11 @@ on which trivalent graph carries the computation.
 
 Two independent counting routes are kept deliberately separate:
 :func:`count_points` contracts 0/1 fusion tensors over the internal edges
-along a plan compiled once per graph, while the literal oracle
-:func:`_walk` assigns values to the slots in order and tests each vertex as
-soon as its last slot is set.  Every point it yields has passed every
-vertex's rule; it skips only the extensions of a prefix that already fails
-a vertex.  Tests pit the two routes against each other.
+along a plan compiled once per graph object and kept on it, while the
+literal oracle :func:`_walk` assigns values to the slots in order and
+tests each vertex as soon as its last slot is set.  Every point it yields
+has passed every vertex's rule; it skips only the extensions of a prefix
+that already fails a vertex.  Tests pit the two routes against each other.
 :func:`count_points_bruteforce`, :func:`enumerate_points`,
 :func:`count_classical` and the semigroup checks all walk through it, so
 the walk's work cap, _WALK_CAP, lives in one place.
@@ -51,7 +51,6 @@ array by way of int64, so no float reaches one.
 from __future__ import annotations
 
 import itertools
-import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
@@ -60,7 +59,13 @@ from typing import Iterator
 import numpy as np
 
 from .errors import GraphMismatch, InstanceTooLarge
-from .graphs import MarkedGraph, _integer, require_tree, require_trivalent
+from .graphs import (
+    MarkedGraph,
+    _integer,
+    _integers,
+    require_tree,
+    require_trivalent,
+)
 
 # Assignments the literal walk may visit, judged a priori: (bound+1)**width.
 _WALK_CAP = 10**8
@@ -149,20 +154,19 @@ class LevelledWeighting:
 
 
 def _leg_vector(graph: MarkedGraph, leaf_weights) -> tuple[int, ...]:
-    """Normalize leaf weights to a tuple of ints in leg label order."""
+    """Normalize leaf weights to a tuple of ints in leg label order.  A
+    tuple of ints is taken as it is, with no Mapping check."""
     n = graph.n_legs
     if leaf_weights is None:
         leaf_weights = ()
-    if isinstance(leaf_weights, Mapping):
+    if type(leaf_weights) is not tuple and isinstance(leaf_weights, Mapping):
         if set(leaf_weights) != {lab for _, lab in graph.legs}:
             raise GraphMismatch(
                 f"leaf weights keyed {sorted(leaf_weights)} but graph has "
                 f"labels 1..{n}"
             )
-        return tuple(
-            _integer(leaf_weights[lab], "leaf weight") for _, lab in graph.legs
-        )
-    vec = tuple(_integer(w, "leaf weight") for w in leaf_weights)
+        leaf_weights = [leaf_weights[lab] for _, lab in graph.legs]
+    vec = _integers(leaf_weights, "leaf weight")
     if len(vec) != n:
         raise GraphMismatch(
             f"got {len(vec)} leaf weights for a graph with {n} legs"
@@ -180,9 +184,7 @@ def is_point(graph: MarkedGraph, w: LevelledWeighting) -> bool:
     require_trivalent(graph)
     w._require_on(graph)
     L = _integer(w.level, "level")
-    values = tuple(
-        _integer(x, "weight") for x in w.edge_weights + w.leg_weights
-    )
+    values = _integers(w.edge_weights + w.leg_weights, "weight")
     return all(
         admissible_triple_level(values[i], values[j], values[k], L)
         for i, j, k in graph.slots_at.values()
@@ -244,15 +246,15 @@ def _compile(graph: MarkedGraph) -> tuple:
     return tuple(vertices), tuple(steps), (fixed, summed), rank
 
 
-_plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _plan(graph: MarkedGraph) -> tuple:
-    """The graph's plan, kept as long as the graph lives.  Only a trivalent
-    graph gets one, so any other graph raises NonTrivalentGraph every time."""
-    plan = _plans.get(graph)
+    """The graph's plan, compiled on first use and kept in the graph's own
+    __dict__ (where cached_property keeps slots_at), so it lives and dies
+    with the graph and is found without hashing it.  Equal graphs built
+    separately compile separately.  Only a trivalent graph gets one, so any
+    other graph raises NonTrivalentGraph every time."""
+    plan = graph.__dict__.get("_plan")
     if plan is None:
-        plan = _plans[graph] = _compile(graph)
+        plan = graph.__dict__["_plan"] = _compile(graph)
     return plan
 
 
@@ -379,7 +381,8 @@ def count_points(graph: MarkedGraph, leaf_weights, level: int) -> int:
     plan = _plan(graph)
     legs = _leg_vector(graph, leaf_weights)
     level = _integer(level, "level")
-    if level < 0 or sum(legs) % 2 or any(w < 0 or w > level for w in legs):
+    if (level < 0 or sum(legs) % 2
+            or legs and (min(legs) < 0 or max(legs) > level)):
         return 0
     return _contract(plan, level, legs)
 

@@ -27,7 +27,9 @@ refuses (1,1000) at (1,9) with 5,160,960 candidates and (1000,0) at
 (9,2) with 4,892,388.  As a backstop, each signature counts the
 candidates of its built source classes before it makes one, and the
 stable closure counts its contractions as it makes them, against the
-same cap.
+same cap.  The flip diameter is capped too, on the N * N bits of its
+reach sets for N classes, judged on the same lower bound before any
+class is built.
 """
 
 from __future__ import annotations
@@ -52,6 +54,9 @@ from .graphs import (
 # Candidates one signature's generation, or contractions its stable closure,
 # may make: (0,9) has 135,135 candidates and (0,10) 2,027,025.
 _CLASS_CAP = 10**6
+# Bits the flip diameter's reach sets may hold, N * N for N classes: 32 MiB
+# per copy of the sets.  (0,8), 10,395 classes, passes; (0,9) does not.
+_FLIP_CAP = 2**28
 
 
 def _require_within_cap(count: int, what: str) -> None:
@@ -59,6 +64,15 @@ def _require_within_cap(count: int, what: str) -> None:
     if count > _CLASS_CAP:
         raise InstanceTooLarge(
             f"{count} {what} exceeds the class cap {_CLASS_CAP}"
+        )
+
+
+def _require_within_flip_cap(classes: int) -> None:
+    """InstanceTooLarge when reach sets over classes classes pass _FLIP_CAP."""
+    if classes * classes > _FLIP_CAP:
+        raise InstanceTooLarge(
+            f"reach sets of {classes} classes exceed the flip cap "
+            f"{_FLIP_CAP} bits"
         )
 
 
@@ -347,24 +361,36 @@ def flip_connectivity(genus: int, n_legs: int) -> tuple[bool, int]:
     """Is the flip graph connected, and what is its diameter?
 
     Returns (False, -1) when disconnected; a single class gives (True, 0).
+    Each class keeps the bitset of the classes within r flips of it, and
+    each round ORs every class's set with its neighbours' sets, so the
+    diameter is the number of rounds until every set is full, and a round
+    that changes nothing before that means the graph is disconnected.  The
+    sets hold N * N bits for N classes: InstanceTooLarge past _FLIP_CAP,
+    judged first on _mass_bound's lower bound on N, before any class is
+    built, and again on the built N.
     """
-    comp = flip_complex(genus, n_legs)
-    adj: list[list[int]] = [[] for _ in comp.classes]
+    signature = _check_signature(genus, n_legs)
+    _require_within_flip_cap(math.ceil(_mass_bound(_chain(*signature))))
+    comp = flip_complex(*signature)
+    n = len(comp.classes)
+    _require_within_flip_cap(n)
+    adj: list[set[int]] = [set() for _ in range(n)]
     for i, j, _ in comp.flips:  # holds every flip in both directions
-        adj[i].append(j)
-
-    def reach(start: int) -> tuple[int, int]:
-        """The number of classes reached from start, and its eccentricity."""
-        seen, frontier, depth = {start}, {start}, 0
-        while frontier := {j for i in frontier for j in adj[i]} - seen:
-            seen |= frontier
-            depth += 1
-        return len(seen), depth
-
-    reached, diameter = reach(0)
-    if reached != len(adj):
-        return False, -1
-    return True, max([diameter] + [reach(i)[1] for i in range(1, len(adj))])
+        adj[i].add(j)
+    full = (1 << n) - 1
+    reach = [1 << i for i in range(n)]
+    rounds = 0
+    while any(r != full for r in reach):
+        grown = []
+        for r, near in zip(reach, adj):
+            for j in near:
+                r |= reach[j]
+            grown.append(r)
+        if grown == reach:
+            return False, -1
+        reach = grown
+        rounds += 1
+    return True, rounds
 
 
 def hasse_dot(comp: StratumComplex) -> str:

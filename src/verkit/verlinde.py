@@ -30,6 +30,7 @@ from .graphs import (
     MarkedGraph,
     _check_signature,
     _integer,
+    _integers,
     caterpillar,
     dumbbell,
     loop_with_leg,
@@ -113,7 +114,7 @@ def _normalize(genus: int, leaf_weights, level: int):
     zeros to 3 - 2 * genus when there are fewer."""
     if leaf_weights is None:
         leaf_weights = ()
-    r = tuple(_integer(x, "leaf weight") for x in leaf_weights)
+    r = _integers(leaf_weights, "leaf weight")
     g = _integer(genus, "genus")
     # pad to 3 - 2g legs, at most three, so a negative genus stays cheap
     r += (0,) * (min(3, 3 - 2 * g) - len(r))
@@ -298,7 +299,7 @@ def factorization_4point(r1: int, r2: int, r3: int, r4: int, level: int) -> int:
     A literal sum with no parity rule.  BadWeighting if a weight or the
     level is not an integer, and InstanceTooLarge when level + 1 exceeds
     the level-loop cap of 2**20."""
-    r1, r2, r3, r4 = (_integer(r, "weight") for r in (r1, r2, r3, r4))
+    r1, r2, r3, r4 = _integers((r1, r2, r3, r4), "weight")
     level = _integer(level, "level")
     _cap_level(level)
     return sum(

@@ -767,3 +767,83 @@ def test_a_weighting_adds_only_to_a_weighting():
     w = LevelledWeighting(trinode(), (), (1, 1, 0), 1)
     with pytest.raises(TypeError):
         w + 1
+
+
+def test_integers_takes_an_int_tuple_as_it_is():
+    from verkit.graphs import _integers
+
+    exact = (1, 2, 0)
+    assert _integers(exact, "leaf weight") is exact
+    assert _integers((), "leaf weight") == ()
+
+    class Row(tuple):
+        pass
+
+    for values in ([1, 2, 0], np.array([1, 2, 0]),
+                   (np.int64(1), 2, np.int8(0)), Row((1, 2, 0))):
+        got = _integers(values, "leaf weight")
+        assert type(got) is tuple and got == exact
+        assert all(type(x) is int for x in got)
+
+
+# the parent's BadWeighting messages, which every route keeps
+BAD_LEAVES = [
+    ((1, True, 0), "leaf weight True is a boolean, not an integer"),
+    ((1.0, 1, 0), "leaf weight 1.0 is not an integer"),
+    ((1, "1", 0), "leaf weight '1' is not an integer"),
+]
+
+
+def test_count_points_refuses_non_integer_leaves_with_their_messages():
+    for weights, message in BAD_LEAVES:
+        for call in (lambda: count_points(trinode(), weights, 2),
+                     lambda: count_points(trinode(), list(weights), 2),
+                     lambda: count_points(trinode(),
+                                          dict(enumerate(weights, 1)), 2)):
+            with pytest.raises(BadWeighting) as caught:
+                call()
+            assert str(caught.value) == message
+
+
+def test_counts_neither_hash_the_graph_nor_plan_it_twice(monkeypatch):
+    graph = caterpillar(5)
+    hashes = []
+
+    def counted_hash(self):
+        hashes.append(self)
+        return hash((self.vertices, self.edges, self.legs))
+
+    monkeypatch.setattr(type(graph), "__hash__", counted_hash)
+    for i in range(200):  # contractions, odd sums and zeros by range
+        count_points(graph, (1, 2, 1, 2, i % 5), 3)
+    assert hashes == []
+
+    compiled = []
+    compile_plan = lattice._compile
+
+    def counted_compile(g):
+        compiled.append(g)
+        return compile_plan(g)
+
+    monkeypatch.setattr(lattice, "_compile", counted_compile)
+    twins = caterpillar(6), caterpillar(6)  # equal, built separately
+    for g in twins:
+        for _ in range(3):
+            assert count_points(g, (1,) * 6, 2) == 4
+            assert count_cox(g, 2) > 0
+            assert semigroup.hilbert_cox(g, 2).values[-1] == count_cox(g, 2)
+    assert len(compiled) == 2
+    assert all(a is b for a, b in zip(compiled, twins))
+
+
+def test_cheap_zeros_hide_no_error():
+    # each query has an odd leg sum or a weight past the level
+    four_valent = new_graph([(0, 0), (1, 0)], [(0, 1), (0, 1)],
+                            [(0, 1), (0, 2), (1, 3), (1, 4)])
+    for legs in [(1, 0, 0, 0), (9, 1, 0, 0)]:
+        with pytest.raises(NonTrivalentGraph):
+            count_points(four_valent, legs, 2)
+        with pytest.raises(GraphMismatch):
+            count_points(CAT4, legs + (0,), 2)
+        with pytest.raises(BadWeighting):
+            count_points(CAT4, legs, 2.0)

@@ -495,3 +495,58 @@ def test_flip_connectivity_reports_a_disconnected_complex(monkeypatch):
     two = StratumComplex((caterpillar(4), trinode()), (), ())
     monkeypatch.setattr(moduli, "flip_complex", lambda genus, n_legs: two)
     assert flip_connectivity(0, 4) == (False, -1)
+
+
+def _flip_diameter_by_bfs(genus, n_legs):
+    """The per-class BFS flip_connectivity used before its bitset sweep."""
+    comp = flip_complex(genus, n_legs)
+    adj = [[] for _ in comp.classes]
+    for i, j, _ in comp.flips:
+        adj[i].append(j)
+
+    def reach(start):
+        seen, frontier, depth = {start}, {start}, 0
+        while frontier := {j for i in frontier for j in adj[i]} - seen:
+            seen |= frontier
+            depth += 1
+        return len(seen), depth
+
+    reached, diameter = reach(0)
+    if reached != len(adj):
+        return False, -1
+    return True, max([diameter] + [reach(i)[1] for i in range(1, len(adj))])
+
+
+def test_flip_sweep_agrees_with_bfs():
+    sigs = [(0, 4), (0, 5), (0, 6), (0, 7), (1, 1), (1, 2), (1, 3), (1, 4),
+            (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (4, 0)]
+    for sig in sigs:
+        assert flip_connectivity(*sig) == _flip_diameter_by_bfs(*sig), sig
+    assert flip_connectivity(0, 7) == (True, 7)
+
+
+def test_flip_sweep_finds_a_disconnected_complex(monkeypatch):
+    # classes 0-1 and 2 apart: the second round changes nothing
+    two = StratumComplex((trinode(),) * 3, (), ((0, 1, b""), (1, 0, b"")))
+    monkeypatch.setattr(moduli, "flip_complex", lambda genus, n_legs: two)
+    assert flip_connectivity(0, 4) == (False, -1)
+
+
+def test_flip_cap_refuses_before_building_a_class(monkeypatch):
+    # (0,8), 10,395 classes, fits; (0,9), 135,135, is refused on the
+    # a-priori bound, before any (0,9) class is made
+    assert 10_395**2 <= moduli._FLIP_CAP < 135_135**2
+    assert flip_connectivity(0, 4) == (True, 1)  # built before the patch
+
+    def build(*args):
+        raise AssertionError("a class was built")
+
+    monkeypatch.setattr(moduli, "_insert_leg", build)
+    monkeypatch.setattr(moduli, "_glue_top_legs", build)
+    with pytest.raises(InstanceTooLarge, match="flip cap"):
+        flip_connectivity(0, 9)
+    # the built class count is judged again, past a bound that admits it
+    monkeypatch.setattr(moduli, "_mass_bound", lambda chain: Fraction(1))
+    monkeypatch.setattr(moduli, "_FLIP_CAP", 8)
+    with pytest.raises(InstanceTooLarge, match="reach sets of 3 classes"):
+        flip_connectivity(0, 4)

@@ -428,3 +428,17 @@ def test_sewing_route_answers_at_high_levels():
     assert verlinde_factor(1, (), 10**4) == 10**4 + 1
     assert verlinde_factor(0, (300, 400, 500, 600), 2000) == (
         factorization_4point(300, 400, 500, 600, 2000))
+
+
+@pytest.mark.parametrize("route", [verlinde, verlinde_factor, verlinde_closed_form])
+def test_non_integer_leaves_keep_their_messages(route):
+    for r, message in [((1, True, 0), "leaf weight True is a boolean, not an integer"),
+                       ((1.0, 1, 0), "leaf weight 1.0 is not an integer"),
+                       ((1, "1", 0), "leaf weight '1' is not an integer")]:
+        for weights in (r, list(r)):
+            with pytest.raises(BadWeighting) as caught:
+                route(0, weights, 2)
+            assert str(caught.value) == message
+    # an exact int tuple and its numpy forms count alike
+    assert (route(0, (1, 1, 0), 2) == route(0, np.array([1, 1, 0]), 2)
+            == route(0, (np.int64(1), 1, 0), 2) == 1)
