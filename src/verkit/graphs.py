@@ -171,36 +171,46 @@ class MarkedGraph:
         which then holds no new encoding.  Past ``_LEAF_CAP`` encoded
         leaves the search raises InstanceTooLarge.  No use of hash(), so
         labels are stable across processes and platforms.
+
+        Two shortcuts leave every byte as it was.  Where the ids are
+        already 0..V-1 in order, as on every class generation builds, the
+        edges are the index pairs and no id map is made.  Where the root
+        colouring is already discrete, as on most genus-0 classes, it is
+        the search's one leaf: it is counted against the cap and encoded
+        as the search would, with no search.
         """
-        index = {vid: i for i, (vid, _) in enumerate(self.vertices)}
-        n = len(index)
+        n = len(self.vertices)
+        if [vid for vid, _ in self.vertices] == list(range(n)):
+            edges = self.edges  # the ids are the indices
+            legs = [v for v, _ in self.legs]
+        else:
+            index = {vid: i for i, (vid, _) in enumerate(self.vertices)}
+            edges = [(index[a], index[b]) for a, b in self.edges]
+            legs = [index[v] for v, _ in self.legs]
         loops = [0] * n
         neighbors: list[list[int]] = [[] for _ in range(n)]
-        edges = []
-        for a, b in self.edges:
-            i, j = index[a], index[b]
-            edges.append((i, j))
+        for i, j in edges:
             if i == j:
                 loops[i] += 1
             else:
                 neighbors[i].append(j)
                 neighbors[j].append(i)
-        legs = []  # vertex index per leg, in label order
         legs_at: list[list[int]] = [[] for _ in range(n)]
-        for v, lab in self.legs:
-            i = index[v]
-            legs.append(i)
-            legs_at[i].append(lab)
+        for i, (_, lab) in zip(legs, self.legs):
+            legs_at[i].append(lab)  # in label order, as new_graph sorts
         genus = [g for _, g in self.vertices]
 
         # the valence: non-loop edge ends, loops twice, and legs
-        colors, count = _refine(*_rank([
-            (genus[i], len(neighbors[i]) + 2 * loops[i] + len(legs_at[i]),
-             tuple(sorted(legs_at[i])), loops[i])
-            for i in range(n)
+        colors, count, cells = _refine(*_rank([
+            (g, len(nbrs) + 2 * k + len(labs), tuple(labs), k)
+            for g, nbrs, labs, k in zip(genus, neighbors, legs_at, loops)
         ]), neighbors)
+        if count == n:  # the root is the search's one leaf
+            _count_leaf(1)
+            return repr(_encode(colors, genus, edges, legs)).encode("ascii")
         found = _Found()
-        _search(colors, count, (), (neighbors, genus, edges, legs), found)
+        _search(colors, count, cells, (), (neighbors, genus, edges, legs),
+                found)
         return repr(found.least).encode("ascii")
 
     def canonical_hex(self) -> str:
@@ -263,6 +273,15 @@ def _merged(edge: tuple[int, int], a: int, b: int) -> tuple[int, int]:
 _LEAF_CAP = 10**4
 
 
+def _count_leaf(leaves: int) -> None:
+    """InstanceTooLarge when a search has encoded more than _LEAF_CAP
+    leaves."""
+    if leaves > _LEAF_CAP:
+        raise InstanceTooLarge(
+            f"canonical label search exceeds the cap {_LEAF_CAP} on leaves"
+        )
+
+
 def _rank(keys: list) -> tuple[list[int], int]:
     """Each key's rank among the distinct keys, and the number of them."""
     order = {k: r for r, k in enumerate(sorted(set(keys)))}
@@ -271,21 +290,43 @@ def _rank(keys: list) -> tuple[list[int], int]:
 
 def _refine(
     colors: list[int], count: int, neighbors: list[list[int]]
-) -> tuple[list[int], int]:
+) -> tuple[list[int], int, list[list[int]] | None]:
     """Refine by the sorted colours of each vertex's neighbours until the
-    number of colours stops growing."""
+    number of colours stops growing; return the colours, their number and
+    the cells, each colour's vertices in increasing order (None when the
+    colouring is discrete, which needs none).
+
+    Each round ranks the keys (colour, sorted neighbour colours).  The
+    colour comes first, so each cell's vertices take a block of ranks in
+    cell order: a cell is ranked alone, by the neighbour colours, after
+    the cells before it, and a vertex alone in its cell keeps its place
+    in that order and needs no key."""
     n = len(colors)
-    # The key sorts by the old colour first, so an unchanged count means
-    # unchanged colours, and a discrete colouring is final.
+    cells = None
+    # An unchanged count means unchanged colours, so the cells found last
+    # are the result's; and a discrete colouring is final.
     while count < n:
-        new_colors, new_count = _rank([
-            (c, tuple(sorted([colors[u] for u in nbrs])))
-            for c, nbrs in zip(colors, neighbors)
-        ])
+        cells = [[] for _ in range(count)]
+        for v, c in enumerate(colors):
+            cells[c].append(v)
+        new_colors = [0] * n
+        new_count = 0
+        for cell in cells:
+            if len(cell) == 1:
+                new_colors[cell[0]] = new_count
+                new_count += 1
+                continue
+            ranks, distinct = _rank([
+                tuple(sorted([colors[u] for u in neighbors[v]]))
+                for v in cell
+            ])
+            for v, r in zip(cell, ranks):
+                new_colors[v] = new_count + r
+            new_count += distinct
         if new_count == count:
-            break
+            return colors, count, cells
         colors, count = new_colors, new_count
-    return colors, count
+    return colors, count, None
 
 
 def _encode(pi: list[int], genus: list[int], edges: list, legs: list) -> tuple:
@@ -294,10 +335,9 @@ def _encode(pi: list[int], genus: list[int], edges: list, legs: list) -> tuple:
     genus_seq = [0] * len(pi)
     for i, g in enumerate(genus):
         genus_seq[pi[i]] = g
-    edge_enc = sorted(
-        (pi[i], pi[j]) if pi[i] <= pi[j] else (pi[j], pi[i])
-        for i, j in edges
-    )
+    edge_enc = [(x, y) if (x := pi[i]) <= (y := pi[j]) else (y, x)
+                for i, j in edges]
+    edge_enc.sort()
     return (tuple(genus_seq), tuple(edge_enc), tuple([pi[i] for i in legs]))
 
 
@@ -315,30 +355,21 @@ class _Found:
         self.leaves = 0
 
 
-def _root(parent: list[int], v: int) -> int:
-    while parent[v] != v:
-        v = parent[v]
-    return v
-
-
 def _search(
-    colors: list[int], count: int, fixed: tuple[int, ...], graph: tuple,
-    found: _Found,
+    colors: list[int], count: int, cells: list[list[int]] | None,
+    fixed: tuple[int, ...], graph: tuple, found: _Found,
 ) -> int:
     """Visit the subtree of the node that individualized ``fixed`` in turn
-    and refined to ``colors``, recording its leaves in ``found``, and
-    return the depth of the node the search goes on at: the parent's, or
-    a shallower one when a leaf ties with the least.
+    and refined to ``colors`` and ``cells`` (as _refine gives them),
+    recording its leaves in ``found``, and return the depth of the node
+    the search goes on at: the parent's, or a shallower one when a leaf
+    ties with the least.
 
     ``graph`` is (neighbours, genus, edges, legs) on vertex indices."""
     depth = len(fixed)
     if count == len(colors):  # a leaf: the colours are the vertex order
         found.leaves += 1
-        if found.leaves > _LEAF_CAP:
-            raise InstanceTooLarge(
-                f"canonical label search exceeds the cap {_LEAF_CAP} on "
-                f"leaves"
-            )
+        _count_leaf(found.leaves)
         code = _encode(colors, *graph[1:])
         if found.least is None or code < found.least:
             found.least, found.order, found.path = code, colors, fixed
@@ -354,37 +385,38 @@ def _search(
             return next(d for d, (u, v) in enumerate(zip(fixed, found.path))
                         if u != v)
         return depth - 1
-    size = [0] * count
-    for c in colors:
-        size[c] += 1
-    least = next(c for c, s in enumerate(size) if s > 1)
+    least = next(c for c, cell in enumerate(cells) if len(cell) > 1)
+    cell = cells[least]
     # Individualizing v ranks the keys (colour, u != v): the colours below
     # the cell are single vertices and keep their ranks, v takes the cell's
     # rank and every other vertex moves up one.
     up = [c if c < least else c + 1 for c in colors]
-    cell = [v for v, c in enumerate(colors) if c == least]
     # An automorphism that fixes ``fixed`` pointwise maps this node to
     # itself, so it permutes the cell and maps the subtree below v onto the
-    # subtree below its image.  parent holds the orbits of those found on
-    # the cell, each rooted at its least vertex.  The cell is tried in
-    # increasing order, so a vertex that is not the root of its orbit
-    # shares it with a vertex tried before, and its subtree is skipped.
-    parent = list(range(len(colors)))
+    # subtree below its image.  orbit names the orbit of each cell vertex
+    # under those found so far by its least vertex.  The cell is tried in
+    # increasing order, so a vertex that does not name its orbit shares it
+    # with a vertex tried before, and its subtree is skipped.
+    orbit = list(range(len(colors)))
     merged = 0
     for v in cell:
         for gamma in found.autos[merged:]:
             if all(gamma[u] == u for u in fixed):
                 for u in cell:
-                    a, b = _root(parent, u), _root(parent, gamma[u])
-                    if a != b:
-                        parent[max(a, b)] = min(a, b)
+                    a, b = orbit[u], orbit[gamma[u]]
+                    if a != b:  # merge the orbits under the lesser name
+                        if a > b:
+                            a, b = b, a
+                        for w in cell:
+                            if orbit[w] == b:
+                                orbit[w] = a
         merged = len(found.autos)
-        if _root(parent, v) != v:
+        if orbit[v] != v:
             continue
-        back = _search(
-            *_refine(up[:v] + [least] + up[v + 1:], count + 1, graph[0]),
-            fixed + (v,), graph, found,
-        )
+        child = up[:]
+        child[v] = least
+        back = _search(*_refine(child, count + 1, graph[0]), fixed + (v,),
+                       graph, found)
         if back < depth:
             return back
     return depth - 1
@@ -444,6 +476,13 @@ def new_graph(
     loops counting twice).  Data of the wrong shape, a vertex, edge or leg
     that is not a pair, say, raises BadGraphDocument.
 
+    Each check runs on every graph, in that order, with work kept to the
+    passes it needs: the first negative genus is noted in the id pass and
+    raised only after the id checks; the valence is the adjacency list's
+    length (a loop is listed twice there) plus a leg count; and the legs
+    are sorted, and their labels listed, only if they arrive out of label
+    order, since labels 1..n in order need no other test.
+
     A pair that is already a ``tuple`` of two ``int`` (an edge with
     ``a <= b``) goes into the graph as the very object given, so graphs
     built from one another share their pairs; a list or tuple-subclass
@@ -452,26 +491,29 @@ def new_graph(
     """
     try:
         verts = []
+        negative = None  # the first vertex of negative genus
         for pair in vertices:
             v, g = pair
             if (type(v) is not int or type(g) is not int
                     or type(pair) is not tuple):
-                pair = (
+                pair = v, g = (
                     _integer(v, "vertex id", BadGraphDocument),
                     _integer(g, "genus", BadGraphDocument),
                 )
+            if g < 0 and negative is None:
+                negative = pair
             verts.append(pair)
         verts = tuple(verts)
-        valence = {vid: 0 for vid, _ in verts}  # also the id set
-        if len(valence) != len(verts):
+        adj: dict[int, list[int]] = {vid: [] for vid, _ in verts}  # id set too
+        if len(adj) != len(verts):
             raise DanglingReference("duplicate vertex ids")
         if not verts:
             raise DisconnectedGraph("graph has no vertices")
-        for vid, g in verts:
-            if g < 0:
-                raise UnstableVertex(f"vertex {vid} has negative genus {g}")
+        if negative is not None:
+            raise UnstableVertex(
+                f"vertex {negative[0]} has negative genus {negative[1]}"
+            )
 
-        adj: dict[int, list[int]] = {vid: [] for vid in valence}
         norm_edges = []
         for edge in edges:
             a, b = edge
@@ -480,17 +522,17 @@ def new_graph(
                 a = _integer(a, "edge end", BadGraphDocument)
                 b = _integer(b, "edge end", BadGraphDocument)
                 edge = (a, b) if a <= b else (b, a)
-            if a not in valence or b not in valence:
+            if a not in adj or b not in adj:
                 raise DanglingReference(
                     f"edge ({a},{b}) references a missing vertex"
                 )
-            valence[a] += 1
-            valence[b] += 1
-            adj[a].append(b)
+            adj[a].append(b)  # a loop lists its vertex twice
             adj[b].append(a)
             norm_edges.append(edge)
 
         norm_legs = []
+        leg_count = {}  # per vertex that has a leg
+        in_order = True
         for leg in legs:
             v, lab = leg
             if (type(v) is not int or type(lab) is not int
@@ -498,39 +540,43 @@ def new_graph(
                 v = _integer(v, "leg vertex", BadGraphDocument)
                 lab = _integer(lab, "leg label", BadGraphDocument)
                 leg = (v, lab)
-            if v not in valence:
+            if v not in adj:
                 raise DanglingReference(
                     f"leg {lab} references missing vertex {v}"
                 )
-            valence[v] += 1
+            leg_count[v] = leg_count.get(v, 0) + 1
             norm_legs.append(leg)
+            if lab != len(norm_legs):
+                in_order = False
     except (TypeError, ValueError) as exc:
         # a row that is not a pair, or data that is not iterable
         raise BadGraphDocument(
             f"graph data of the wrong shape: {type(exc).__name__}: {exc}"
         ) from exc
-    norm_legs.sort(key=operator.itemgetter(1))
-    labels = [lab for _, lab in norm_legs]
-    if labels != list(range(1, len(labels) + 1)):
-        raise BadLegLabels(f"leg labels {labels} are not exactly 1..n")
+    if not in_order:
+        norm_legs.sort(key=operator.itemgetter(1))
+        labels = [lab for _, lab in norm_legs]
+        if labels != list(range(1, len(labels) + 1)):
+            raise BadLegLabels(f"leg labels {labels} are not exactly 1..n")
 
     root = verts[0][0]
     seen = {root}
-    stack = [root]
-    while stack:
-        for u in adj[stack.pop()]:
+    reached = [root]
+    for v in reached:  # grows as the search reaches vertices
+        for u in adj[v]:
             if u not in seen:
                 seen.add(u)
-                stack.append(u)
+                reached.append(u)
     if len(seen) != len(verts):
         raise DisconnectedGraph(
             f"{len(verts) - len(seen)} vertices unreachable from vertex {root}"
         )
 
     for vid, genus in verts:
-        if not _is_stable(genus, valence[vid]):
+        valence = len(adj[vid]) + leg_count.get(vid, 0)
+        if not _is_stable(genus, valence):
             raise UnstableVertex(
-                f"vertex {vid}: genus {genus}, valence {valence[vid]}"
+                f"vertex {vid}: genus {genus}, valence {valence}"
             )
     return MarkedGraph(verts, tuple(norm_edges), tuple(norm_legs))
 

@@ -73,6 +73,10 @@ _WALK_CAP = 10**8
 # Building T peaks near 1.13 times T's own bytes, its 0/1 mask beside the
 # float64 copy: about 580 MiB at level 405, the top level the cap admits.
 _TENSOR_CAP = 2**26
+# V * V for the V vertices a contraction plan may cover, since planning is
+# quadratic in V: V = 2000, the standard graph of genus 1001 with no legs
+# or of (0, 2002), plans in about 1.8 s on one core of a 2-vCPU VM.
+_PLAN_CAP = 4 * 10**6
 
 
 # -- admissibility --------------------------------------------------------
@@ -205,13 +209,20 @@ def _compile(graph: MarkedGraph) -> tuple:
     appended.  Each open edge joins two live factors, and each step takes
     the least (result axes, i, j) over those pairs, the result axes being
     the edges in exactly one of the two; planning is quadratic in the
-    vertex count.  bounds: per step, k, the number
+    vertex count V, so past _PLAN_CAP on V * V it raises InstanceTooLarge
+    before the first step.  bounds: per step, k, the number
     of slots summed inside its result, as a tuple with fixed legs and one
     with summed legs.  A shared edge, a loop (its diagonal sums one value)
     and a summed leg each add 1; the last step sums every slot, so its k is
     the largest.  rank: the most axes any step's result has, 0 with no step.
     """
     require_trivalent(graph)
+    size = len(graph.vertices)
+    if size * size > _PLAN_CAP:
+        raise InstanceTooLarge(
+            f"planning a contraction over {size} vertices ({size}^2 = "
+            f"{size * size}) exceeds the plan cap {_PLAN_CAP}"
+        )
     ne = len(graph.edges)
     vertices, live, ks = [], [], []
     for vid, _ in graph.vertices:

@@ -121,28 +121,26 @@ def _insert_leg(graph: MarkedGraph, slot: int, new_label: int) -> MarkedGraph:
 
     The new vertex w has the largest id, so (a, w) and (b, w) are in normal
     form, and the new graph shares every pair it does not change."""
-    w = max(vid for vid, _ in graph.vertices) + 1
-    verts = list(graph.vertices) + [(w, 0)]
-    ne = len(graph.edges)
-    edges, legs = list(graph.edges), list(graph.legs)
+    w = max(graph.vertices)[0] + 1  # the ids are distinct
+    edges, legs = graph.edges, graph.legs
+    ne = len(edges)
     if slot < ne:
-        a, b = edges.pop(slot)
-        edges += [(a, w), (b, w)]
+        a, b = edges[slot]
+        edges = edges[:slot] + edges[slot + 1:] + ((a, w), (b, w))
     else:
-        v, lab = legs[slot - ne]
-        legs[slot - ne] = (w, lab)
-        edges.append((v, w))
-    legs.append((w, new_label))
-    return new_graph(verts, edges, legs)
+        k = slot - ne
+        v, lab = legs[k]
+        legs = legs[:k] + ((w, lab),) + legs[k + 1:]
+        edges += ((v, w),)
+    return new_graph(graph.vertices + ((w, 0),), edges,
+                     legs + ((w, new_label),))
 
 
 def _glue_top_legs(graph: MarkedGraph, n_keep: int) -> MarkedGraph:
-    """Join legs n_keep+1 and n_keep+2 into a new edge."""
-    v1 = next(v for v, lab in graph.legs if lab == n_keep + 1)
-    v2 = next(v for v, lab in graph.legs if lab == n_keep + 2)
-    legs = [leg for leg in graph.legs if leg[1] <= n_keep]
-    edges = list(graph.edges) + [(v1, v2)]
-    return new_graph(graph.vertices, edges, legs)
+    """Join legs n_keep+1 and n_keep+2, the last two, into a new edge."""
+    (v1, _), (v2, _) = graph.legs[n_keep:]
+    return new_graph(graph.vertices, graph.edges + ((v1, v2),),
+                     graph.legs[:n_keep])
 
 
 def enumerate_trivalent(genus: int, n_legs: int) -> tuple[MarkedGraph, ...]:

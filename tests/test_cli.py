@@ -470,6 +470,28 @@ def test_deep_signatures_are_refused_before_building(monkeypatch, capsys):
         assert "InstanceTooLarge" in err and f"{count} candidates" in err
 
 
+def test_planning_past_the_cap_exits_two(capsys):
+    # Planning is quadratic in the vertex count V, so V * V is judged
+    # before the first step; the standard graph of (g, 0) has 2g - 2
+    # vertices, and planning the first genus past the cap takes ~2 s
+    verlinde = importlib.import_module("verkit.verlinde")
+    genus = 2
+    while (2 * genus - 2) ** 2 <= lattice._PLAN_CAP:
+        genus += 1
+    graph = verlinde.standard_graph(genus, 0)
+    start = time.perf_counter()
+    with pytest.raises(InstanceTooLarge, match="plan cap"):
+        lattice.count_points(graph, (), 3)
+    assert time.perf_counter() - start < 1
+    assert "_plan" not in graph.__dict__
+    code = main(["verlinde", "--genus", str(genus), "--weights", "",
+                 "--level", "3"])
+    assert code == 2
+    assert "InstanceTooLarge" in capsys.readouterr().err
+    assert verlinde.verlinde(250, (), 3) == verlinde.verlinde_factor(
+        250, (), 3)
+
+
 def test_level_loop_too_large_exits_two(monkeypatch, capsys):
     monkeypatch.setattr(importlib.import_module("verkit.verlinde"),
                         "_LEVEL_CAP", 8)

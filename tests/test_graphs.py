@@ -459,6 +459,33 @@ def test_new_graph_checks_run_in_a_fixed_order(vertices, edges, legs, error,
         new_graph(vertices, edges, legs)
 
 
+def test_new_graph_sorts_legs_only_as_needed():
+    # legs given in label order are kept in it; any other order comes back
+    # sorted, as the same graph built from sorted legs
+    verts, edges = [(0, 0), (1, 0)], [(0, 1)]
+    legs = [(0, 1), (0, 2), (1, 3), (1, 4)]
+    ordered = new_graph(verts, edges, legs)
+    assert ordered.legs == tuple(legs)
+    for seed in range(4):
+        shuffled = legs[:]
+        random.Random(seed).shuffle(shuffled)
+        g = new_graph(verts, edges, shuffled)
+        assert g.legs == tuple(legs) and g == ordered
+        assert g.canonical_label == ordered.canonical_label
+    # labels that are not 1..n are listed in ascending order
+    with pytest.raises(BadLegLabels, match=r"leg labels \[1, 1, 3\] are not"):
+        new_graph([(0, 0)], [], [(0, 3), (0, 1), (0, 1)])
+    with pytest.raises(BadLegLabels, match=r"leg labels \[1, 2, 2\] are not"):
+        new_graph([(0, 0)], [], [(0, 1), (0, 2), (0, 2)])
+
+
+def test_new_graph_names_the_first_negative_genus():
+    with pytest.raises(UnstableVertex, match="vertex 1 has negative genus -2"):
+        new_graph([(0, 0), (1, -2), (2, -1)], [(0, 1), (1, 2)], LEGS3)
+    with pytest.raises(UnstableVertex, match="vertex 2 has negative genus -1"):
+        new_graph([(0, 0), (2, -1), (1, -2)], [(0, 1), (1, 2)], LEGS3)
+
+
 def test_new_graph_refuses_non_integers():
     rows = [
         ([(0, 0)], [], [(0, 1), (0, 2), (0, 3.7)]),  # int() would make leg 3

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -389,6 +390,54 @@ def _assert_shares_exactly(parent, child, untouched, new):
     assert sorted(map(id, untouched)) == sorted(
         i for i in _pair_ids(child) if i in ids)
     assert len(_pair_ids(child)) == len(untouched) + new
+
+
+def test_generation_validates_every_candidate(monkeypatch):
+    # each of the 9 slots of each of the 105 (0,6) classes makes one
+    # candidate, and each goes through new_graph's checks
+    enumerate_trivalent(0, 6)  # cached, so only (0,7) is built below
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return new_graph(*args)
+
+    monkeypatch.setattr(moduli, "new_graph", counted)
+    classes = moduli._trivalent.__wrapped__(0, 7)
+    assert len(calls) == 105 * 9 == 945
+    assert classes == enumerate_trivalent(0, 7)
+
+
+def _renumbered(graph, ids, rng=None):
+    """graph with vertex k (in vertices order) renamed ids[k]; with rng,
+    its vertices and edges listed in a shuffled order."""
+    new = {vid: ids[k] for k, (vid, _) in enumerate(graph.vertices)}
+    vertices = [(new[v], g) for v, g in graph.vertices]
+    edges = [(new[a], new[b]) for a, b in graph.edges]
+    if rng is not None:
+        rng.shuffle(vertices)
+        rng.shuffle(edges)
+    return new_graph(vertices, edges,
+                     [(new[v], lab) for v, lab in graph.legs])
+
+
+def test_labels_do_not_depend_on_vertex_ids():
+    # Generated classes have ids 0..V-1 in order, and contraction leaves
+    # gaps; the label reads the edges as index pairs only in the first case
+    # and maps ids to indices in the second, and both give the same bytes.
+    rng = random.Random(0)
+    graphs = enumerate_trivalent(0, 7) + enumerate_stable(2, 1)
+    gaps = 0
+    for graph in graphs:
+        n = len(graph.vertices)
+        in_order = [vid for vid, _ in graph.vertices] == list(range(n))
+        gaps += not in_order
+        shifted = [k + 1000 for k in range(n)]
+        rng.shuffle(shifted)
+        for copy in (_renumbered(graph, list(range(n))),
+                     _renumbered(graph, shifted, rng)):
+            assert copy.canonical_label == graph.canonical_label
+    assert gaps > 0
 
 
 def test_local_moves_share_the_pairs_they_leave_alone():
