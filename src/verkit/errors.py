@@ -55,17 +55,17 @@ class NotATree(VerkitError):
 
 
 class InstanceTooLarge(VerkitError):
-    """Work past a fixed cap: a literal walk of more than 10**8
-    assignments, a tensor contraction holding an array of more than 2**26
-    entries, a Verlinde level loop of more than 2**20 terms, or a sewing
-    sum (verlinde_factor) of more than 10**8 steps priced by the length of
-    its ints, each refused before it starts; a signature whose classes
-    would come from more than 10**6 candidates, refused before they are
-    built, or whose stable closure makes more than 10**6 contractions; a
-    flip diameter whose reach sets would hold more than 2**28 bits, refused
-    before the classes are built and again once they are; or a canonical
-    label search that encodes more than 10**4 leaves, refused as it
-    runs."""
+    """Work past one of the fixed caps, each a module constant beside the
+    work it bounds: lattice._WALK_CAP, _TENSOR_CAP and _PLAN_CAP,
+    verlinde._LEVEL_CAP and _SEW_CAP, moduli._CLASS_CAP and _FLIP_CAP, and
+    graphs._LEAF_CAP.  Every cap refuses through _check_cap."""
+
+
+def _check_cap(count: int, cap: int, what: str, name: str = "cap") -> None:
+    """InstanceTooLarge, "{count} {what} exceeds the {name} {cap}", when
+    count passes cap; what names the work counted, name the cap."""
+    if count > cap:
+        raise InstanceTooLarge(f"{count} {what} exceeds the {name} {cap}")
 
 
 class BadWeighting(VerkitError):

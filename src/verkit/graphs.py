@@ -31,13 +31,13 @@ from .errors import (
     BadWeighting,
     DanglingReference,
     DisconnectedGraph,
-    InstanceTooLarge,
     IsLeg,
     NonTrivalentGraph,
     NotATree,
     UnstableSignature,
     UnstableVertex,
     VerkitError,
+    _check_cap,
 )
 
 @dataclass(frozen=True)
@@ -206,7 +206,7 @@ class MarkedGraph:
             for g, nbrs, labs, k in zip(genus, neighbors, legs_at, loops)
         ]), neighbors)
         if count == n:  # the root is the search's one leaf
-            _count_leaf(1)
+            _check_cap(1, _LEAF_CAP, "leaves", "label search cap")
             return repr(_encode(colors, genus, edges, legs)).encode("ascii")
         found = _Found()
         _search(colors, count, cells, (), (neighbors, genus, edges, legs),
@@ -271,15 +271,6 @@ def _merged(edge: tuple[int, int], a: int, b: int) -> tuple[int, int]:
 # (2,0)..(2,2), (3,0), (3,1) and (4,0), and 24 on the genus-24 tree with a
 # loop on each leaf, whose unpruned search has 3! * 2**21 leaves.
 _LEAF_CAP = 10**4
-
-
-def _count_leaf(leaves: int) -> None:
-    """InstanceTooLarge when a search has encoded more than _LEAF_CAP
-    leaves."""
-    if leaves > _LEAF_CAP:
-        raise InstanceTooLarge(
-            f"canonical label search exceeds the cap {_LEAF_CAP} on leaves"
-        )
 
 
 def _rank(keys: list) -> tuple[list[int], int]:
@@ -369,7 +360,7 @@ def _search(
     depth = len(fixed)
     if count == len(colors):  # a leaf: the colours are the vertex order
         found.leaves += 1
-        _count_leaf(found.leaves)
+        _check_cap(found.leaves, _LEAF_CAP, "leaves", "label search cap")
         code = _encode(colors, *graph[1:])
         if found.least is None or code < found.least:
             found.least, found.order, found.path = code, colors, fixed

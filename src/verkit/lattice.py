@@ -58,7 +58,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import GraphMismatch, InstanceTooLarge
+from .errors import GraphMismatch, _check_cap
 from .graphs import (
     MarkedGraph,
     _integer,
@@ -209,20 +209,15 @@ def _compile(graph: MarkedGraph) -> tuple:
     appended.  Each open edge joins two live factors, and each step takes
     the least (result axes, i, j) over those pairs, the result axes being
     the edges in exactly one of the two; planning is quadratic in the
-    vertex count V, so past _PLAN_CAP on V * V it raises InstanceTooLarge
-    before the first step.  bounds: per step, k, the number
-    of slots summed inside its result, as a tuple with fixed legs and one
-    with summed legs.  A shared edge, a loop (its diagonal sums one value)
-    and a summed leg each add 1; the last step sums every slot, so its k is
-    the largest.  rank: the most axes any step's result has, 0 with no step.
+    vertex count V, so _require_plannable judges V first.  bounds: per
+    step, k, the number of slots summed inside its result, as a tuple with
+    fixed legs and one with summed legs.  A shared edge, a loop (its
+    diagonal sums one value) and a summed leg each add 1; the last step
+    sums every slot, so its k is the largest.  rank: the most axes any
+    step's result has, 0 with no step.
     """
     require_trivalent(graph)
-    size = len(graph.vertices)
-    if size * size > _PLAN_CAP:
-        raise InstanceTooLarge(
-            f"planning a contraction over {size} vertices ({size}^2 = "
-            f"{size * size}) exceeds the plan cap {_PLAN_CAP}"
-        )
+    _require_plannable(len(graph.vertices))
     ne = len(graph.edges)
     vertices, live, ks = [], [], []
     for vid, _ in graph.vertices:
@@ -255,6 +250,14 @@ def _compile(graph: MarkedGraph) -> tuple:
         bounds.append(ks[-1])
     fixed, summed = (tuple(k[m] for k in bounds) for m in (0, 1))
     return tuple(vertices), tuple(steps), (fixed, summed), rank
+
+
+def _require_plannable(n: int) -> None:
+    """InstanceTooLarge when a plan over n vertices would pass _PLAN_CAP on
+    n * n, since planning is quadratic in n.  verlinde judges it on every
+    call, so it formats nothing unless it refuses."""
+    if n * n > _PLAN_CAP:
+        _check_cap(n * n, _PLAN_CAP, f"pairs of {n} vertices", "plan cap")
 
 
 def _plan(graph: MarkedGraph) -> tuple:
@@ -342,11 +345,8 @@ def _contract(plan: tuple, level: int, legs) -> int:
     vertices, steps, bounds, rank = plan
     d = level + 1
     size = d ** max(3, rank)
-    if size > _TENSOR_CAP:
-        raise InstanceTooLarge(
-            f"a tensor of {size} entries at level {level} exceeds the cap "
-            f"{_TENSOR_CAP}"
-        )
+    if size > _TENSOR_CAP:  # judged inline: this runs on every count
+        _check_cap(size, _TENSOR_CAP, f"entries at level {level}", "tensor cap")
     kernels = _kernels(level)
     # each live factor with an exact bound on its entries, None until read
     if legs is None:
@@ -386,8 +386,8 @@ def count_points(graph: MarkedGraph, leaf_weights, level: int) -> int:
     Only this route takes the parity shortcut; the literal walk and the
     closed form find those zeros on their own.  A weight or level that is
     not an integer raises BadWeighting, and InstanceTooLarge is raised when
-    the contraction would build a T or a step result of more than 2**26
-    entries.
+    the contraction would build a T or a step result of more than
+    _TENSOR_CAP entries.
     """
     plan = _plan(graph)
     legs = _leg_vector(graph, leaf_weights)
@@ -401,6 +401,19 @@ def count_points(graph: MarkedGraph, leaf_weights, level: int) -> int:
 # -- the literal oracle ----------------------------------------------------
 
 
+def _check_walks(width: int, bounds) -> None:
+    """InstanceTooLarge when walks of width slots, one with values in
+    0..bound for each of the bounds, pass _WALK_CAP in all, each counted a
+    priori as (bound + 1) ** width assignments.  The sum stops once it
+    passes the cap, so its time does not grow with the bounds."""
+    total = 0
+    for bound in bounds:
+        total += max(bound + 1, 0) ** width
+        if total > _WALK_CAP:
+            break
+    _check_cap(total, _WALK_CAP, "assignments", "work cap")
+
+
 def _walk(graph: MarkedGraph, legs, bound: int, admissible) -> Iterator[tuple]:
     """Every weighting with values in 0..bound that is admissible at each
     vertex, as slot-value tuples (edges, then legs), in lexicographic order.
@@ -409,8 +422,8 @@ def _walk(graph: MarkedGraph, legs, bound: int, admissible) -> Iterator[tuple]:
     admissible(a, b, c) is the vertex rule.  Nothing is yielded when a fixed
     leg value lies outside 0..bound.  Raises InstanceTooLarge when the
     a-priori assignment count (bound + 1) ** width, width the number of
-    slots walked, exceeds _WALK_CAP = 10**8.  Independent of the
-    tensor route on purpose.
+    slots walked, exceeds _WALK_CAP.  Independent of the tensor route on
+    purpose.
 
     The slots are set in runs: each run ends where some vertex has its last
     walked slot, and the candidates of a run are tested by exactly those
@@ -421,13 +434,8 @@ def _walk(graph: MarkedGraph, legs, bound: int, admissible) -> Iterator[tuple]:
     """
     if bound < 0 or legs is not None and not all(0 <= w <= bound for w in legs):
         return
-    ne = len(graph.edges)
-    width = ne + graph.n_legs if legs is None else ne
-    total = (bound + 1) ** width
-    if total > _WALK_CAP:
-        raise InstanceTooLarge(
-            f"{total} assignments exceeds the work cap {_WALK_CAP}"
-        )
+    width = len(graph.edges) + (graph.n_legs if legs is None else 0)
+    _check_walks(width, (bound,))
     # A vertex is due once its last walked slot is set, at 0 when all its
     # slots are fixed legs.  Every walked slot lies on a vertex, so the
     # last run ends at width.  A run is (first slot, end, vertices due).
@@ -480,8 +488,7 @@ def count_points_bruteforce(graph: MarkedGraph, leaf_weights, level: int) -> int
     Every counted weighting is tested at every vertex; only extensions of
     a prefix that already fails a vertex go unvisited.  Independent of the
     tensor route on purpose.  Raises InstanceTooLarge when the a-priori
-    count (level+1)^E of E internal assignments exceeds the walk's fixed
-    cap of 10**8.
+    count (level+1)^E of E internal assignments exceeds _WALK_CAP.
     """
     require_trivalent(graph)
     legs = _leg_vector(graph, leaf_weights)
@@ -530,7 +537,7 @@ def count_cox(graph: MarkedGraph, level: int) -> int:
     leg adds 1 to the k of the step that contains it, so k is at most E + n
     with E edges and n legs, and a vertex factor's largest entry is
     (level + 1) ** (loop + summed legs).  Refuses a level past the same
-    2**26-entry cap.
+    _TENSOR_CAP.
     """
     plan = _plan(graph)
     level = _integer(level, "level")

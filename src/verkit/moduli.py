@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .errors import InstanceTooLarge
+from .errors import _check_cap
 from .graphs import (
     MarkedGraph,
     _check_signature,
@@ -57,23 +57,6 @@ _CLASS_CAP = 10**6
 # Bits the flip diameter's reach sets may hold, N * N for N classes: 32 MiB
 # per copy of the sets.  (0,8), 10,395 classes, passes; (0,9) does not.
 _FLIP_CAP = 2**28
-
-
-def _require_within_cap(count: int, what: str) -> None:
-    """InstanceTooLarge when count passes _CLASS_CAP."""
-    if count > _CLASS_CAP:
-        raise InstanceTooLarge(
-            f"{count} {what} exceeds the class cap {_CLASS_CAP}"
-        )
-
-
-def _require_within_flip_cap(classes: int) -> None:
-    """InstanceTooLarge when reach sets over classes classes pass _FLIP_CAP."""
-    if classes * classes > _FLIP_CAP:
-        raise InstanceTooLarge(
-            f"reach sets of {classes} classes exceed the flip cap "
-            f"{_FLIP_CAP} bits"
-        )
 
 
 @dataclass(frozen=True)
@@ -192,7 +175,7 @@ def _mass_bound(chain: Iterable[tuple[int, int]]) -> Fraction:
     mass = Fraction(1)  # (0,3): the tripod
     for source, (genus, n_legs) in itertools.pairwise(chain):
         mass = _candidates(mass, source, genus, n_legs)
-        _require_within_cap(math.ceil(mass), "candidates")
+        _check_cap(math.ceil(mass), _CLASS_CAP, "candidates", "class cap")
         if source != (genus, n_legs - 1):
             mass /= 2 * (3 * genus - 3 + n_legs)
     return mass
@@ -208,7 +191,7 @@ def _trivalent(genus: int, n_legs: int) -> tuple[MarkedGraph, ...]:
     for source, _ in itertools.pairwise(_chain(genus, n_legs)):
         sources = _trivalent(*source)
     count = _candidates(len(sources), source, genus, n_legs)
-    _require_within_cap(count, "candidates")
+    _check_cap(count, _CLASS_CAP, "candidates", "class cap")
     if source == (genus, n_legs - 1):
         made = (_insert_leg(g, slot, n_legs) for g in sources
                 for slot in range(len(g.edges) + g.n_legs))
@@ -234,7 +217,7 @@ def _stable_closure(
     while queue:
         g = queue.pop()
         made += len(g.edges)
-        _require_within_cap(made, "contractions")
+        _check_cap(made, _CLASS_CAP, "contractions", "class cap")
         for e in range(len(g.edges)):
             c = g.contract_edge(e)
             hasse.add((g.canonical_label, c.canonical_label))
@@ -368,10 +351,13 @@ def flip_connectivity(genus: int, n_legs: int) -> tuple[bool, int]:
     built, and again on the built N.
     """
     signature = _check_signature(genus, n_legs)
-    _require_within_flip_cap(math.ceil(_mass_bound(_chain(*signature))))
+    n = math.ceil(_mass_bound(_chain(*signature)))
+    _check_cap(n * n, _FLIP_CAP, f"bits of reach sets of {n} classes",
+               "flip cap")
     comp = flip_complex(*signature)
     n = len(comp.classes)
-    _require_within_flip_cap(n)
+    _check_cap(n * n, _FLIP_CAP, f"bits of reach sets of {n} classes",
+               "flip cap")
     adj: list[set[int]] = [set() for _ in range(n)]
     for i, j, _ in comp.flips:  # holds every flip in both directions
         adj[i].add(j)

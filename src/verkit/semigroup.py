@@ -21,16 +21,16 @@ from fractions import Fraction
 from operator import sub
 from typing import Callable, Iterator
 
-from .errors import BadWeighting, CounterexampleFound, GraphMismatch
+from .errors import BadWeighting, CounterexampleFound, GraphMismatch, _check_cap
 from .graphs import MarkedGraph, _integer, require_tree, require_trivalent
 from .lattice import (
     LevelledWeighting,
     count_cox,
     count_points,
+    _check_walks,
     _leg_vector,
     _level_points,
 )
-from .verlinde import _cap_terms
 
 
 # -- Hilbert tables --------------------------------------------------------
@@ -69,7 +69,9 @@ def _table(entry: Callable[[int], int], top: int) -> tuple[int, ...]:
     made, when they pass _LEVEL_CAP; entry(top), the costliest, is made
     first, so a table the tensor cap cannot finish is refused before any
     other entry is built."""
-    _cap_terms(top + 1, "table entries")
+    from .verlinde import _LEVEL_CAP  # as it stands on the call
+
+    _check_cap(top + 1, _LEVEL_CAP, "table entries")
     if top < 0:
         return ()
     last = entry(top)
@@ -154,12 +156,16 @@ def gorenstein_check(
     inclusions.  Returns (True, certificates) where each certificate is
     (interior point, semigroup point it decomposes through), in the order
     of interior_points; raises CounterexampleFound on the first point that
-    is in one list and not the other.
+    is in one list and not the other.  InstanceTooLarge, before the first
+    walk, when all the walks together pass the walk's work cap.
     """
     require_trivalent(graph)
     omega = dualizing_weighting(graph)
+    levels = range(_integer(level_bound, "level bound") + 1)
+    _check_walks(len(graph.edges) + graph.n_legs,
+                 (b for level in levels for b in (level, level - omega.level)))
     certificates = []
-    for level in range(_integer(level_bound, "level bound") + 1):
+    for level in levels:
         interior = list(_level_points(graph, None, level, _interior_triple))
         below = list(_all_points(graph, level - omega.level))
         shifted = [p + omega for p in below]
@@ -196,9 +202,13 @@ def degree_one_generation_check(
     with no decomposition.  The table is built level by level: a level-l
     point's certificate is the first generator whose difference is a
     certified level-(l-1) point, followed by that point's certificate.
+    InstanceTooLarge, before the first walk, when the generator walk and
+    every level's walk together pass the walk's work cap.
     """
     require_tree(tree)
     require_trivalent(tree)
+    levels = range(_integer(level_bound, "level bound") + 1)
+    _check_walks(len(tree.edges) + tree.n_legs, itertools.chain((1,), levels))
     # each generator with its slot-value tuple (edges, then legs)
     generators = [
         (gen, gen.edge_weights + gen.leg_weights)
@@ -206,7 +216,7 @@ def degree_one_generation_check(
     ]
     certificates = {}
     below: dict[tuple, tuple] = {}  # certified points of the level below
-    for level in range(_integer(level_bound, "level bound") + 1):
+    for level in levels:
         table = {}
         for w in _all_points(tree, level):
             slots = w.edge_weights + w.leg_weights

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import InstanceTooLarge, NumericalResidual
+from .errors import NumericalResidual, _check_cap
 from .graphs import (
     MarkedGraph,
     _check_signature,
@@ -36,7 +36,7 @@ from .graphs import (
     loop_with_leg,
     new_graph,
 )
-from .lattice import admissible_triple_level, count_points
+from .lattice import _require_plannable, admissible_triple_level, count_points
 
 # Terms a level loop may take, one per weight 0..L, and entries a Hilbert
 # table may hold: past it the closed form's term list alone would hold tens
@@ -48,19 +48,6 @@ _LEVEL_CAP = 2**20
 # 0.65 us near the cap, so a call takes at most about a minute.
 _SEW_CAP = 10**8
 _STEP_BITS = 2**14
-
-
-def _cap_terms(terms: int, what: str) -> None:
-    """InstanceTooLarge when a loop would take more than _LEVEL_CAP terms;
-    what names them in the message."""
-    if terms > _LEVEL_CAP:
-        raise InstanceTooLarge(f"{terms} {what} exceeds the cap {_LEVEL_CAP}")
-
-
-def _cap_level(level: int) -> None:
-    """InstanceTooLarge when a loop over the weights 0..level would take
-    more than _LEVEL_CAP terms."""
-    _cap_terms(level + 1, f"terms at level {level}")
 
 
 def fusion_coeff(a: int, b: int, c: int, level: int) -> int:
@@ -123,8 +110,12 @@ def _normalize(genus: int, leaf_weights, level: int):
 
 
 def verlinde(genus: int, leaf_weights, level: int) -> int:
-    """Lattice count on the standard graph of the (normalized) signature."""
+    """Lattice count on the standard graph of the (normalized) signature.
+
+    The plan cap is judged on the graph's n + 2g - 2 vertices before the
+    graph is built."""
     genus, r, L = _normalize(genus, leaf_weights, level)
+    _require_plannable(len(r) + 2 * genus - 2)
     return count_points(standard_graph(genus, len(r)), r, L)
 
 
@@ -223,19 +214,15 @@ def verlinde_factor(genus: int, leaf_weights, level: int) -> int:
     runs no contraction and no walk, so it is independent of both.
 
     Leaf weights outside 0..level give 0.  InstanceTooLarge when L + 1
-    exceeds the level-loop cap of 2**20, and then when the a-priori step
-    count of _sew_steps, which prices each test by the length of the ints
-    it may add, exceeds the sewing cap of 10**8.
+    exceeds _LEVEL_CAP, and then when the a-priori step count of
+    _sew_steps, which prices each test by the length of the ints it may
+    add, exceeds _SEW_CAP.
     """
     genus, r, L = _normalize(genus, leaf_weights, level)
     if L < 0 or any(x < 0 or x > L for x in r):
         return 0  # same convention as the counting routes
-    _cap_level(L)
-    steps = _sew_steps(genus, r, L)
-    if steps > _SEW_CAP:
-        raise InstanceTooLarge(
-            f"{steps} sewing steps at level {L} exceeds the cap {_SEW_CAP}"
-        )
+    _check_cap(L + 1, _LEVEL_CAP, f"terms at level {L}")
+    _check_cap(_sew_steps(genus, r, L), _SEW_CAP, f"sewing steps at level {L}")
     left, mid, right = _cut(genus, r)
     u, w = _side(*left, L), _side(*right, L)
     if mid is None:
@@ -251,12 +238,12 @@ def verlinde_closed_form(genus: int, leaf_weights, level: int) -> int:
     on its rounding error; the value is rounded only when its distance to
     the nearest integer plus B is below 1/2, and NumericalResidual is
     raised otherwise, also when a term, the sum or B leaves double range.
-    InstanceTooLarge when L + 1 exceeds the level-loop cap of 2**20.
+    InstanceTooLarge when L + 1 exceeds _LEVEL_CAP.
     """
     genus, r, L = _normalize(genus, leaf_weights, level)
     if L < 0 or any(x < 0 or x > L for x in r):
         return 0  # same convention as the counting routes
-    _cap_level(L)
+    _check_cap(L + 1, _LEVEL_CAP, f"terms at level {L}")
     n = len(r)
     q = L + 2
     p = 2 - 2 * genus - n
@@ -298,10 +285,10 @@ def factorization_4point(r1: int, r2: int, r3: int, r4: int, level: int) -> int:
 
     A literal sum with no parity rule.  BadWeighting if a weight or the
     level is not an integer, and InstanceTooLarge when level + 1 exceeds
-    the level-loop cap of 2**20."""
+    _LEVEL_CAP."""
     r1, r2, r3, r4 = _integers((r1, r2, r3, r4), "weight")
     level = _integer(level, "level")
-    _cap_level(level)
+    _check_cap(level + 1, _LEVEL_CAP, f"terms at level {level}")
     return sum(
         admissible_triple_level(r1, r2, m, level)
         and admissible_triple_level(m, r3, r4, level)

@@ -224,6 +224,17 @@ def test_huge_hilbert_tables_are_refused_at_their_top_entry(
     assert "InstanceTooLarge" in err and "1000000001 table entries" in err
 
 
+def test_whole_check_past_the_work_cap_exits_two(trinode_file, capsys):
+    # bound 1000 is sized before the first walk, so it is refused at once
+    for command in ("gorenstein", "gen1"):
+        start = time.perf_counter()
+        code = main([command, "--graph", trinode_file, "--bound", "1000"])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "InstanceTooLarge" in err and "work cap" in err
+
+
 def test_gorenstein_cli(trinode_file, capsys):
     code = main(["gorenstein", "--graph", trinode_file, "--bound", "6"])
     assert code == 0

@@ -109,3 +109,17 @@ def test_code_imports_only_declared_dependencies():
                                 ("perfbench", testing)]:
         found = _imported(directory) - set(sys.stdlib_module_names) - {"verkit"}
         assert found - local - declared == set(), directory
+
+
+def test_every_cap_refuses_at_one_site():
+    # the refusal rule is stated once: every cap raises InstanceTooLarge
+    # through errors._check_cap, so its message has one shape
+    sites = [
+        (path.name, node.lineno)
+        for path in sorted((ROOT / "src" / "verkit").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "InstanceTooLarge"
+    ]
+    assert len(sites) == 1 and sites[0][0] == "errors.py", sites

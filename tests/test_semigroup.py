@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from verkit import (
     BadWeighting,
     CounterexampleFound,
     GraphMismatch,
+    InstanceTooLarge,
     LevelledWeighting,
     NotATree,
     caterpillar,
@@ -339,3 +341,36 @@ def test_filtration_additive():
             w1, theta
         ) + filtration_value(w2, theta)
         assert filtration_value(w1.scaled(3), theta) == 3 * filtration_value(w1, theta)
+
+
+def test_hilbert_tables_below_degree_zero_are_empty():
+    for graph in DESK_GRAPHS:
+        assert hilbert_cox(graph, -1).values == ()
+    assert hilbert_projective(caterpillar(4), (1, 1, 1, 1), 1, -1).values == ()
+
+
+def test_checks_are_sized_as_a_whole_before_the_first_walk(monkeypatch):
+    # on the trinode no single walk passes the work cap below level 464,
+    # but the walks of bound 1000 together do
+    def walk(*args):
+        raise AssertionError("walked before sizing the request")
+
+    monkeypatch.setattr(semigroup, "_level_points", walk)
+    for check in (gorenstein_check, degree_one_generation_check):
+        start = time.perf_counter()
+        with pytest.raises(InstanceTooLarge, match="work cap"):
+            check(trinode(), 1000)
+        assert time.perf_counter() - start < 1
+        # the sum stops at the cap, so a larger bound costs no more
+        start = time.perf_counter()
+        with pytest.raises(InstanceTooLarge, match="work cap"):
+            check(trinode(), 10**18)
+        assert time.perf_counter() - start < 1
+    # the largest bounds admitted: 119 and 139
+    monkeypatch.setattr(semigroup, "_level_points", lambda *args: iter(()))
+    assert gorenstein_check(trinode(), 119) == (True, ())
+    assert degree_one_generation_check(trinode(), 139) == (True, {})
+    with pytest.raises(InstanceTooLarge, match="work cap"):
+        gorenstein_check(trinode(), 120)
+    with pytest.raises(InstanceTooLarge, match="work cap"):
+        degree_one_generation_check(trinode(), 140)

@@ -3,11 +3,13 @@ from __future__ import annotations
 import importlib
 import itertools
 import random
+import time
 import warnings
 
 import numpy as np
 import pytest
 
+from verkit import lattice
 from verkit import (
     BadWeighting,
     InstanceTooLarge,
@@ -442,3 +444,31 @@ def test_non_integer_leaves_keep_their_messages(route):
     # an exact int tuple and its numpy forms count alike
     assert (route(0, (1, 1, 0), 2) == route(0, np.array([1, 1, 0]), 2)
             == route(0, (np.int64(1), 1, 0), 2) == 1)
+
+
+def test_standard_graph_has_n_plus_2g_minus_2_vertices():
+    # verlinde judges the plan cap on this count before building the graph
+    for g in range(7):
+        for n in range(7):
+            if 2 * g - 2 + n > 0:
+                assert len(standard_graph(g, n).vertices) == n + 2 * g - 2
+
+
+def test_plan_cap_refuses_before_the_graph_is_built(monkeypatch):
+    verlinde_module = importlib.import_module("verkit.verlinde")
+    monkeypatch.setattr(lattice, "_PLAN_CAP", 100)
+    assert verlinde(6, (), 1) == verlinde_factor(6, (), 1)  # 10 vertices
+
+    def build(*args):
+        raise AssertionError("built the standard graph")
+
+    monkeypatch.setattr(verlinde_module, "standard_graph", build)
+    # the first signatures past the cap: 12, 11 and 11 vertices
+    for g, r in [(7, ()), (0, (0,) * 13), (1, (1,) * 11)]:
+        with pytest.raises(InstanceTooLarge, match="plan cap 100"):
+            verlinde(g, r, 1)
+    monkeypatch.undo()
+    start = time.perf_counter()
+    with pytest.raises(InstanceTooLarge, match="plan cap"):
+        verlinde(10**7, (), 3)
+    assert time.perf_counter() - start < 0.05
