@@ -51,6 +51,7 @@ array by way of int64, so no float reaches one.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
@@ -75,7 +76,7 @@ _WALK_CAP = 10**8
 _TENSOR_CAP = 2**26
 # V * V for the V vertices a contraction plan may cover, since planning is
 # quadratic in V: V = 2000, the standard graph of genus 1001 with no legs
-# or of (0, 2002), plans in about 1.8 s on one core of a 2-vCPU VM.
+# or of (0, 2002), plans in about 1.0 s on one core of a 2-vCPU VM.
 _PLAN_CAP = 4 * 10**6
 
 
@@ -101,7 +102,7 @@ def admissible_triple_level(a: int, b: int, c: int, level: int) -> bool:
 # -- weightings ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LevelledWeighting:
     """Weights on every edge and leg of a graph, together with a level.
 
@@ -206,15 +207,21 @@ def _compile(graph: MarkedGraph) -> tuple:
     order, each shared with one neighbour.  steps: the greedy pairwise
     order, as (i, j, axes_i, axes_j) with i < j indexing the live factor
     list: factors i and j leave it and their tensordot over those axes is
-    appended.  Each open edge joins two live factors, and each step takes
-    the least (result axes, i, j) over those pairs, the result axes being
-    the edges in exactly one of the two; planning is quadratic in the
-    vertex count V, so _require_plannable judges V first.  bounds: per
-    step, k, the number of slots summed inside its result, as a tuple with
-    fixed legs and one with summed legs.  A shared edge, a loop (its
-    diagonal sums one value) and a summed leg each add 1; the last step
-    sums every slot, so its k is the largest.  rank: the most axes any
-    step's result has, 0 with no step.
+    appended.  bounds: per step, k, the number of slots summed inside its
+    result, as a tuple with fixed legs and one with summed legs.  A shared
+    edge, a loop (its diagonal sums one value) and a summed leg each add 1;
+    the last step sums every slot, so its k is the largest.  rank: the most
+    axes any step's result has, 0 with no step.
+
+    Each open edge joins two live factors, and each step takes the least
+    (result axes, k with fixed legs, i, j) over those pairs.  With A and B
+    the pair's axes and s the edges they share, the result has
+    |A| + |B| - 2s axes and its k is the pair's two k plus s.  So among
+    equally narrow results the one with the smaller plan bound
+    (level + 1) ** k goes first: a chain is contracted from both ends in
+    turn, each side summing about half its edges, and only the final join
+    needs the whole bound.  Planning is quadratic in the vertex count V,
+    so _require_plannable judges V first.
     """
     require_trivalent(graph)
     _require_plannable(len(graph.vertices))
@@ -233,8 +240,12 @@ def _compile(graph: MarkedGraph) -> tuple:
         for i, axes in enumerate(live):
             for a in axes:
                 ends.setdefault(a, []).append(i)
-        out, i, j = min((len(set(live[i]) ^ set(live[j])), i, j)
-                        for i, j in ends.values())
+        # each pair of live factors an open edge joins -> the edges it shares
+        pairs = Counter(map(tuple, ends.values()))
+        out, _, i, j = min(
+            (len(live[i]) + len(live[j]) - 2 * s, ks[i][0] + ks[j][0] + s, i, j)
+            for (i, j), s in pairs.items()
+        )
         shared = [a for a in live[i] if a in live[j]]
         rank = max(rank, out)
         aj, kj = live.pop(j), ks.pop(j)

@@ -612,22 +612,23 @@ def test_exact_dtype_ladder():
 
 
 def test_int64_and_object_contractions_agree_at_the_bound(monkeypatch):
-    # caterpillar(40) at level 30: the plan bound 31^k passes 2^53 at the
-    # 11th of its 37 steps and 2^63 at the 13th, while the entries there
-    # are near 2^35.  So each later step's dtype follows its operands'
-    # largest entries, and seeded weights run all three dtypes.
+    # caterpillar(56) at level 30: the plan advances both ends of the chain
+    # in turn, and the plan bound 31^k passes 2^53 at the 21st of its 53
+    # steps and 2^63 at the 25th, while the entries there are near 2^30.
+    # So each later step's dtype follows its operands' largest entries, and
+    # seeded weights run all three dtypes.
     f, i, o = np.dtype(np.float64), np.dtype(np.int64), np.dtype(object)
     seen = _spy_dtypes(monkeypatch)
-    cat39, cat40 = caterpillar(39), caterpillar(40)
+    cat55, cat56 = caterpillar(55), caterpillar(56)
     rng = random.Random(5)
     for _ in range(2):
-        r = [rng.randint(0, 30) for _ in range(40)]
+        r = [rng.randint(0, 30) for _ in range(56)]
         r[-1] += sum(r) % 2 * (-1 if r[-1] else 1)
         r = tuple(r)
-        whole = count_points(cat40, r, 30)
+        whole = count_points(cat56, r, 30)
         assert {d for d, _ in seen} == {f, i, o}
-        _assert_narrowest(seen, cat40, 30)
-        assert whole == _glued(cat39, r, 30, seen) == verlinde_factor(0, r, 30)
+        _assert_narrowest(seen, cat56, 30)
+        assert whole == _glued(cat55, r, 30, seen) == verlinde_factor(0, r, 30)
     # legs summed too: 15 edges + 18 legs = 33 slots in the last step, so
     # the plan bound passes 2^63 while every entry stays below 2^53
     assert count_cox(caterpillar(18), 3) == 1209462292480
@@ -638,8 +639,10 @@ def test_int64_and_object_contractions_agree_at_the_bound(monkeypatch):
 def test_float64_path_is_exact_up_to_2_53(monkeypatch):
     # At level 3, caterpillar(29) has 26 edges and 4^26 < 2^53, so its plan
     # never reads an entry; caterpillar(30) has 27, and caterpillar(35) 32,
-    # so their last steps bound their results by their operands' largest
-    # entries.  At level 1 the plan bound meets 2^53 itself: 53 edges.
+    # so their last steps, which sum every edge, bound their results by
+    # their operands' largest entries: the plan advances both ends of the
+    # chain in turn, so no earlier step sums more than 16 edges.  At level
+    # 1 the plan bound meets 2^53 itself: 53 edges.
     # Those entries stay below 2^53, so every step runs in float64, and
     # exactly the steps whose plan bound reaches 2^53 ask for a dtype.
     f = np.dtype(np.float64)
@@ -651,7 +654,7 @@ def test_float64_path_is_exact_up_to_2_53(monkeypatch):
     for n, L, steps_asked, weights in [
         (29, 3, 0, [(1,) * 28 + (2,), (3, 1) * 14 + (2,)]),
         (30, 3, 1, [(1,) * 30, (3, 1) * 15]),
-        (35, 3, 5, [(1,) * 34 + (2,), (3, 1) * 17 + (2,)]),
+        (35, 3, 1, [(1,) * 34 + (2,), (3, 1) * 17 + (2,)]),
         (55, 1, 0, [(1,) * 54 + (0,)]),
         (56, 1, 1, [(1,) * 56]),
     ]:
@@ -739,10 +742,12 @@ def _plan_pin_graphs():
     yield _closed(ring + spokes + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
 
 
-# sha256 over the repr of every plan above, taken with the earlier planner
-# that scanned all pairs of live factors: the open-edge planner must
-# reproduce its plans exactly, since plans fix every step's dtype and shape.
-PLAN_DIGEST = "12b684973cc68f8e269cf584ac0876cfd5860e4c790882436cb3860f247dfc89"
+# sha256 over the repr of every plan above, each step the least (result
+# axes, k, i, j) over the pairs of live factors an open edge joins, k the
+# slots summed inside the result with legs fixed.  Plans fix every step's
+# dtype and shape, so a planner that finds the pairs another way must
+# reproduce these exactly.
+PLAN_DIGEST = "c56dd823ddf3b828d06c6cd5085f825a33d4226168e91f951318223edb11f0a8"
 
 
 def test_plans_are_pinned():
@@ -750,6 +755,75 @@ def test_plans_are_pinned():
     for graph in _plan_pin_graphs():
         digest.update(repr(lattice._compile(graph)).encode())
     assert digest.hexdigest() == PLAN_DIGEST
+
+
+def _compile_by_position(graph):
+    """The planner that broke ties by position alone, the least (result
+    axes, i, j): a literal copy, kept as the reference for the summed-slot
+    tie-break."""
+    ne = len(graph.edges)
+    vertices, live, ks = [], [], []
+    for vid, _ in graph.vertices:
+        slots = graph.slots_at[vid]
+        loop = len(set(slots)) < len(slots)
+        at = tuple(s - ne for s in slots if s >= ne)
+        vertices.append((loop, at))
+        live.append([s for s in slots if s < ne and slots.count(s) == 1])
+        ks.append((int(loop), int(loop) + len(at)))
+    steps, bounds, rank = [], [], 0
+    while len(live) > 1:
+        ends = {}  # open edge -> the positions of its two live factors
+        for i, axes in enumerate(live):
+            for a in axes:
+                ends.setdefault(a, []).append(i)
+        out, i, j = min((len(set(live[i]) ^ set(live[j])), i, j)
+                        for i, j in ends.values())
+        shared = [a for a in live[i] if a in live[j]]
+        rank = max(rank, out)
+        aj, kj = live.pop(j), ks.pop(j)
+        ai, ki = live.pop(i), ks.pop(i)
+        steps.append((
+            i,
+            j,
+            tuple(ai.index(a) for a in shared),
+            tuple(aj.index(a) for a in shared),
+        ))
+        live.append([a for a in ai + aj if a not in shared])
+        ks.append(tuple(x + y + len(shared) for x, y in zip(ki, kj)))
+        bounds.append(ks[-1])
+    fixed, summed = (tuple(k[m] for k in bounds) for m in (0, 1))
+    return tuple(vertices), tuple(steps), (fixed, summed), rank
+
+
+def test_summed_slot_tie_break_widens_no_plan():
+    # Against ties broken by position: no result gets more axes, and no
+    # more steps have a plan bound past float64 at level 30.
+    def wide(plan):
+        return sum(31**k >= 2**53 for k in plan[2][0])
+
+    for graph in _plan_pin_graphs():
+        plan, by_position = lattice._compile(graph), _compile_by_position(graph)
+        assert plan[3] <= by_position[3]
+        assert wide(plan) <= wide(by_position)
+
+
+def test_a_long_chain_runs_one_object_step(monkeypatch):
+    # caterpillar(40) at level 30: both ends of the chain advance in turn,
+    # so each side sums at most 18 of the 37 edges and only the final join
+    # runs on Python ints.  Ties broken by position ran 9 to 14 steps so.
+    o = np.dtype(object)
+    seen = _spy_dtypes(monkeypatch)
+    cat40 = caterpillar(40)
+    rng = random.Random(5)
+    for _ in range(20):
+        r = [rng.randint(0, 30) for _ in range(40)]
+        r[-1] += sum(r) % 2 * (-1 if r[-1] else 1)
+        r = tuple(r)
+        count = count_points(cat40, r, 30)
+        dtypes = [d for d, _ in seen]
+        assert dtypes.count(o) == 1 and dtypes[-1] == o
+        _assert_narrowest(seen, cat40, 30)
+        assert count == verlinde_factor(0, r, 30)
 
 
 def test_count_cox_is_zero_below_level_zero():
