@@ -1,138 +1,20 @@
 """Exact sl2 Verlinde lattice counts on trivalent graphs, the stable-graph
-stratification combinatorics, and the graded algebra checks built on them."""
+stratification combinatorics, and the graded algebra checks built on them.
 
-from .errors import (
-    BadGraphDocument,
-    BadLegLabels,
-    BadWeighting,
-    CounterexampleFound,
-    DanglingReference,
-    DisconnectedGraph,
-    GraphMismatch,
-    InstanceTooLarge,
-    IsLeg,
-    NonTrivalentGraph,
-    NotATree,
-    NumericalResidual,
-    UnstableSignature,
-    UnstableVertex,
-    VerkitError,
-)
-from .graphs import (
-    MarkedGraph,
-    are_isomorphic,
-    caterpillar,
-    dumbbell,
-    loop_with_leg,
-    new_graph,
-    require_trivalent,
-    theta_graph,
-    trinode,
-)
-from .lattice import (
-    LevelledWeighting,
-    admissible_triple,
-    admissible_triple_level,
-    count_classical,
-    count_cox,
-    count_points,
-    count_points_bruteforce,
-    enumerate_points,
-    is_point,
-)
-from .moduli import (
-    FlipMove,
-    StratumComplex,
-    contraction_poset,
-    enumerate_stable,
-    enumerate_trivalent,
-    flip_complex,
-    flip_connectivity,
-    flip_dot,
-    flip_neighbors,
-    hasse_dot,
-)
-from .semigroup import (
-    Functional,
-    HilbertTable,
-    degree_one_generation_check,
-    dualizing_weighting,
-    filtration_value,
-    gorenstein_check,
-    hilbert_cox,
-    hilbert_projective,
-    interior_points,
-    new_functional,
-)
-from .verlinde import (
-    factorization_4point,
-    fusion_coeff,
-    standard_graph,
-    verlinde,
-    verlinde_closed_form,
-    verlinde_factor,
-)
+Each module's __all__ is its public surface; the package republishes them
+all."""
+
+# the verlinde module is taken as _verlinde before the star import below
+# rebinds the name verlinde to the function, which then shadows the module
+from . import errors, graphs, lattice, moduli, semigroup, verlinde as _verlinde
+from .errors import *
+from .graphs import *
+from .lattice import *
+from .moduli import *
+from .semigroup import *
+from .verlinde import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadGraphDocument",
-    "BadLegLabels",
-    "BadWeighting",
-    "CounterexampleFound",
-    "DanglingReference",
-    "DisconnectedGraph",
-    "FlipMove",
-    "Functional",
-    "GraphMismatch",
-    "HilbertTable",
-    "InstanceTooLarge",
-    "IsLeg",
-    "LevelledWeighting",
-    "MarkedGraph",
-    "NonTrivalentGraph",
-    "NotATree",
-    "NumericalResidual",
-    "StratumComplex",
-    "UnstableSignature",
-    "UnstableVertex",
-    "VerkitError",
-    "admissible_triple",
-    "admissible_triple_level",
-    "are_isomorphic",
-    "caterpillar",
-    "contraction_poset",
-    "count_classical",
-    "count_cox",
-    "count_points",
-    "count_points_bruteforce",
-    "degree_one_generation_check",
-    "dualizing_weighting",
-    "dumbbell",
-    "enumerate_points",
-    "enumerate_stable",
-    "enumerate_trivalent",
-    "factorization_4point",
-    "filtration_value",
-    "flip_complex",
-    "flip_connectivity",
-    "flip_dot",
-    "flip_neighbors",
-    "fusion_coeff",
-    "gorenstein_check",
-    "hasse_dot",
-    "hilbert_cox",
-    "hilbert_projective",
-    "interior_points",
-    "is_point",
-    "loop_with_leg",
-    "new_functional",
-    "new_graph",
-    "require_trivalent",
-    "standard_graph",
-    "theta_graph",
-    "trinode",
-    "verlinde",
-    "verlinde_closed_form",
-    "verlinde_factor",
-]
+__all__ = (errors.__all__ + graphs.__all__ + lattice.__all__
+           + moduli.__all__ + semigroup.__all__ + _verlinde.__all__)

@@ -6,6 +6,15 @@ VerkitError so callers (and the CLI) can catch the whole family at once.
 
 from __future__ import annotations
 
+__all__ = [
+    "BadGraphDocument", "BadLegLabels", "BadWeighting", "CounterexampleFound",
+    "DanglingReference", "DisconnectedGraph", "GraphMismatch",
+    "InstanceTooLarge", "IsLeg", "NonTrivalentGraph", "NotATree",
+    "NumericalResidual", "UnstableSignature", "UnstableVertex", "VerkitError",
+]
+
+from decimal import Decimal
+
 
 class VerkitError(Exception):
     """Base class for all package-specific errors."""
@@ -61,11 +70,22 @@ class InstanceTooLarge(VerkitError):
     graphs._LEAF_CAP.  Every cap refuses through _check_cap."""
 
 
-def _check_cap(count: int, cap: int, what: str, name: str = "cap") -> None:
+def _decimal(value: int) -> str:
+    """The exact decimal of an int, however long: str() refuses an int of
+    more than sys.get_int_max_str_digits() digits, Decimal does not."""
+    return format(Decimal(value), "f")
+
+
+def _check_cap(count: int, cap: int, what: str, *numbers: int,
+               name: str = "cap") -> None:
     """InstanceTooLarge, "{count} {what} exceeds the {name} {cap}", when
-    count passes cap; what names the work counted, name the cap."""
+    count passes cap; what names the work counted, its {} fields filled
+    with numbers, and name names the cap.  Every number is written by
+    _decimal, and only on a refusal."""
     if count > cap:
-        raise InstanceTooLarge(f"{count} {what} exceeds the {name} {cap}")
+        what = what.format(*map(_decimal, numbers))
+        raise InstanceTooLarge(
+            f"{_decimal(count)} {what} exceeds the {name} {_decimal(cap)}")
 
 
 class BadWeighting(VerkitError):

@@ -19,6 +19,12 @@ depends on nothing but the graph and is the same in every process.
 
 from __future__ import annotations
 
+__all__ = [
+    "MarkedGraph", "are_isomorphic", "caterpillar", "dumbbell",
+    "loop_with_leg", "new_graph", "require_trivalent", "theta_graph",
+    "trinode",
+]
+
 import json
 import operator
 from dataclasses import dataclass
@@ -206,7 +212,7 @@ class MarkedGraph:
             for g, nbrs, labs, k in zip(genus, neighbors, legs_at, loops)
         ]), neighbors)
         if count == n:  # the root is the search's one leaf
-            _check_cap(1, _LEAF_CAP, "leaves", "label search cap")
+            _check_cap(1, _LEAF_CAP, "leaves", name="label search cap")
             return repr(_encode(colors, genus, edges, legs)).encode("ascii")
         found = _Found()
         _search(colors, count, cells, (), (neighbors, genus, edges, legs),
@@ -360,7 +366,7 @@ def _search(
     depth = len(fixed)
     if count == len(colors):  # a leaf: the colours are the vertex order
         found.leaves += 1
-        _check_cap(found.leaves, _LEAF_CAP, "leaves", "label search cap")
+        _check_cap(found.leaves, _LEAF_CAP, "leaves", name="label search cap")
         code = _encode(colors, *graph[1:])
         if found.least is None or code < found.least:
             found.least, found.order, found.path = code, colors, fixed

@@ -50,6 +50,12 @@ array by way of int64, so no float reaches one.
 
 from __future__ import annotations
 
+__all__ = [
+    "LevelledWeighting", "admissible_triple", "admissible_triple_level",
+    "count_classical", "count_cox", "count_points", "count_points_bruteforce",
+    "enumerate_points", "is_point",
+]
+
 import itertools
 from collections import Counter
 from collections.abc import Mapping
@@ -265,10 +271,8 @@ def _compile(graph: MarkedGraph) -> tuple:
 
 def _require_plannable(n: int) -> None:
     """InstanceTooLarge when a plan over n vertices would pass _PLAN_CAP on
-    n * n, since planning is quadratic in n.  verlinde judges it on every
-    call, so it formats nothing unless it refuses."""
-    if n * n > _PLAN_CAP:
-        _check_cap(n * n, _PLAN_CAP, f"pairs of {n} vertices", "plan cap")
+    n * n, since planning is quadratic in n."""
+    _check_cap(n * n, _PLAN_CAP, "pairs of {} vertices", n, name="plan cap")
 
 
 def _plan(graph: MarkedGraph) -> tuple:
@@ -357,7 +361,8 @@ def _contract(plan: tuple, level: int, legs) -> int:
     d = level + 1
     size = d ** max(3, rank)
     if size > _TENSOR_CAP:  # judged inline: this runs on every count
-        _check_cap(size, _TENSOR_CAP, f"entries at level {level}", "tensor cap")
+        _check_cap(size, _TENSOR_CAP, "entries at level {}", level,
+                   name="tensor cap")
     kernels = _kernels(level)
     # each live factor with an exact bound on its entries, None until read
     if legs is None:
@@ -422,7 +427,7 @@ def _check_walks(width: int, bounds) -> None:
         total += max(bound + 1, 0) ** width
         if total > _WALK_CAP:
             break
-    _check_cap(total, _WALK_CAP, "assignments", "work cap")
+    _check_cap(total, _WALK_CAP, "assignments", name="work cap")
 
 
 def _walk(graph: MarkedGraph, legs, bound: int, admissible) -> Iterator[tuple]:

@@ -34,6 +34,12 @@ class is built.
 
 from __future__ import annotations
 
+__all__ = [
+    "FlipMove", "StratumComplex", "contraction_poset", "enumerate_stable",
+    "enumerate_trivalent", "flip_complex", "flip_connectivity", "flip_dot",
+    "flip_neighbors", "hasse_dot",
+]
+
 import itertools
 import math
 from dataclasses import dataclass
@@ -175,7 +181,8 @@ def _mass_bound(chain: Iterable[tuple[int, int]]) -> Fraction:
     mass = Fraction(1)  # (0,3): the tripod
     for source, (genus, n_legs) in itertools.pairwise(chain):
         mass = _candidates(mass, source, genus, n_legs)
-        _check_cap(math.ceil(mass), _CLASS_CAP, "candidates", "class cap")
+        _check_cap(math.ceil(mass), _CLASS_CAP, "candidates",
+                   name="class cap")
         if source != (genus, n_legs - 1):
             mass /= 2 * (3 * genus - 3 + n_legs)
     return mass
@@ -191,7 +198,7 @@ def _trivalent(genus: int, n_legs: int) -> tuple[MarkedGraph, ...]:
     for source, _ in itertools.pairwise(_chain(genus, n_legs)):
         sources = _trivalent(*source)
     count = _candidates(len(sources), source, genus, n_legs)
-    _check_cap(count, _CLASS_CAP, "candidates", "class cap")
+    _check_cap(count, _CLASS_CAP, "candidates", name="class cap")
     if source == (genus, n_legs - 1):
         made = (_insert_leg(g, slot, n_legs) for g in sources
                 for slot in range(len(g.edges) + g.n_legs))
@@ -217,7 +224,7 @@ def _stable_closure(
     while queue:
         g = queue.pop()
         made += len(g.edges)
-        _check_cap(made, _CLASS_CAP, "contractions", "class cap")
+        _check_cap(made, _CLASS_CAP, "contractions", name="class cap")
         for e in range(len(g.edges)):
             c = g.contract_edge(e)
             hasse.add((g.canonical_label, c.canonical_label))
@@ -352,12 +359,12 @@ def flip_connectivity(genus: int, n_legs: int) -> tuple[bool, int]:
     """
     signature = _check_signature(genus, n_legs)
     n = math.ceil(_mass_bound(_chain(*signature)))
-    _check_cap(n * n, _FLIP_CAP, f"bits of reach sets of {n} classes",
-               "flip cap")
+    _check_cap(n * n, _FLIP_CAP, "bits of reach sets of {} classes", n,
+               name="flip cap")
     comp = flip_complex(*signature)
     n = len(comp.classes)
-    _check_cap(n * n, _FLIP_CAP, f"bits of reach sets of {n} classes",
-               "flip cap")
+    _check_cap(n * n, _FLIP_CAP, "bits of reach sets of {} classes", n,
+               name="flip cap")
     adj: list[set[int]] = [set() for _ in range(n)]
     for i, j, _ in comp.flips:  # holds every flip in both directions
         adj[i].add(j)

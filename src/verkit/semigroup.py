@@ -14,14 +14,25 @@ re-verify by addition.
 
 from __future__ import annotations
 
+__all__ = [
+    "Functional", "HilbertTable", "degree_one_generation_check",
+    "dualizing_weighting", "filtration_value", "gorenstein_check",
+    "hilbert_cox", "hilbert_projective", "interior_points", "new_functional",
+]
+
 import itertools
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from operator import sub
 from typing import Callable, Iterator
 
-from .errors import BadWeighting, CounterexampleFound, GraphMismatch, _check_cap
+from .errors import (
+    BadWeighting,
+    CounterexampleFound,
+    GraphMismatch,
+    _check_cap,
+    _decimal,
+)
 from .graphs import MarkedGraph, _integer, require_tree, require_trivalent
 from .lattice import (
     LevelledWeighting,
@@ -34,12 +45,6 @@ from .lattice import (
 
 
 # -- Hilbert tables --------------------------------------------------------
-
-
-def _decimal(value: int) -> str:
-    """The exact decimal of a count, however long: str() refuses an int of
-    more than sys.get_int_max_str_digits() digits, Decimal does not."""
-    return format(Decimal(value), "f")
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,11 @@ unchanged, because fusing with the trivial weight is the identity.
 
 from __future__ import annotations
 
+__all__ = [
+    "factorization_4point", "fusion_coeff", "standard_graph", "verlinde",
+    "verlinde_closed_form", "verlinde_factor",
+]
+
 import math
 from functools import lru_cache
 
@@ -103,8 +108,9 @@ def _normalize(genus: int, leaf_weights, level: int):
         leaf_weights = ()
     r = _integers(leaf_weights, "leaf weight")
     g = _integer(genus, "genus")
-    # pad to 3 - 2g legs, at most three, so a negative genus stays cheap
-    r += (0,) * (min(3, 3 - 2 * g) - len(r))
+    # pad to 3 - 2g legs, at most three, so a negative genus stays cheap,
+    # and none past genus 1, so a huge genus asks for no sequence length
+    r += (0,) * max(0, min(3, 3 - 2 * g) - len(r))
     _check_signature(g, len(r))  # only a negative genus is left to fail
     return g, r, _integer(level, "level")
 
@@ -221,8 +227,9 @@ def verlinde_factor(genus: int, leaf_weights, level: int) -> int:
     genus, r, L = _normalize(genus, leaf_weights, level)
     if L < 0 or any(x < 0 or x > L for x in r):
         return 0  # same convention as the counting routes
-    _check_cap(L + 1, _LEVEL_CAP, f"terms at level {L}")
-    _check_cap(_sew_steps(genus, r, L), _SEW_CAP, f"sewing steps at level {L}")
+    _check_cap(L + 1, _LEVEL_CAP, "terms at level {}", L)
+    _check_cap(_sew_steps(genus, r, L), _SEW_CAP, "sewing steps at level {}",
+               L)
     left, mid, right = _cut(genus, r)
     u, w = _side(*left, L), _side(*right, L)
     if mid is None:
@@ -243,20 +250,20 @@ def verlinde_closed_form(genus: int, leaf_weights, level: int) -> int:
     genus, r, L = _normalize(genus, leaf_weights, level)
     if L < 0 or any(x < 0 or x > L for x in r):
         return 0  # same convention as the counting routes
-    _check_cap(L + 1, _LEVEL_CAP, f"terms at level {L}")
+    _check_cap(L + 1, _LEVEL_CAP, "terms at level {}", L)
     n = len(r)
     q = L + 2
     p = 2 - 2 * genus - n
     u = 2.0**-53
     # absolute error of a numerator sine, from rounding its argument
     sine_err = (4 * math.pi * (L + 1) + 3) * u
-    # relative error of sin(j pi / q) ** p: the sine's is |cot x| (below q)
-    # times the argument's absolute error (a few ulps of pi), and the power
-    # multiplies it by |p|
-    power_err = abs(p) * (1.5 * math.pi * q + 2) * u + 3 * u
     terms = []
     bound = 0.0
     try:
+        # relative error of sin(j pi / q) ** p: the sine's is |cot x| (below
+        # q) times the argument's absolute error (a few ulps of pi), and the
+        # power multiplies it by |p|, which may itself pass double range
+        power_err = abs(p) * (1.5 * math.pi * q + 2) * u + 3 * u
         for j in range(1, L + 2):
             x = math.pi * j / q
             prod = 1.0
@@ -288,7 +295,7 @@ def factorization_4point(r1: int, r2: int, r3: int, r4: int, level: int) -> int:
     _LEVEL_CAP."""
     r1, r2, r3, r4 = _integers((r1, r2, r3, r4), "weight")
     level = _integer(level, "level")
-    _check_cap(level + 1, _LEVEL_CAP, f"terms at level {level}")
+    _check_cap(level + 1, _LEVEL_CAP, "terms at level {}", level)
     return sum(
         admissible_triple_level(r1, r2, m, level)
         and admissible_triple_level(m, r3, r4, level)

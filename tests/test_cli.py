@@ -4,11 +4,13 @@ import hashlib
 import importlib
 import io
 import json
+import os
 import shlex
 import subprocess
 import sys
 import time
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,15 @@ from verkit import (
 )
 from verkit.cli import build_parser, main
 from verkit.errors import InstanceTooLarge, NumericalResidual
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _child_env() -> dict:
+    """This environment with src first on PYTHONPATH, so that a
+    ``python -m verkit.cli`` child finds the package as the tests do."""
+    path = [SRC, os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
 
 
 @pytest.fixture
@@ -517,6 +528,27 @@ def test_level_loop_too_large_exits_two(monkeypatch, capsys):
         assert capsys.readouterr().out == "1\n"
 
 
+def test_numbers_past_the_str_limit_are_refused(tmp_path, capsys):
+    # a 1,501-digit level makes a 4,501-digit tensor size, and a genus past
+    # 2**63 a padding count past the index range; each is a refusal
+    tri = tmp_path / "tri.json"
+    tri.write_text(json.dumps(trinode().to_json()))
+    level = "1" + "0" * 1500
+    cases = [(["count", "--graph", str(tri), "--weights", "0,0,0",
+               "--level", level], "InstanceTooLarge", 2)]
+    for genus in [2**63, 10**400, 10**3000]:
+        for method, error, code in [("count", "InstanceTooLarge", 2),
+                                    ("factor", "InstanceTooLarge", 2),
+                                    ("closed", "NumericalResidual", 3)]:
+            cases.append((["verlinde", "--genus", str(genus), "--weights",
+                           "", "--level", "3", "--method", method],
+                          error, code))
+    for argv, error, code in cases:
+        assert main(argv) == code, argv[:2]
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error [{error}]: ")
+
+
 def test_residual_failure_exits_three(monkeypatch, capsys):
     def explode(genus, r, level):
         raise NumericalResidual(3.5, 0.5)
@@ -534,6 +566,7 @@ def test_console_entry_point_end_to_end():
          "--weights", "", "--level", "7", "--method", "all"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == "8\n8\n8\n"
@@ -547,6 +580,7 @@ def test_a_closed_stdout_exits_141_and_prints_nothing():
          "--legs", "7"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env=_child_env(),
     ) as proc:
         assert proc.stdout.readline().startswith(b"0 ")
         proc.stdout.close()

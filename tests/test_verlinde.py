@@ -472,3 +472,24 @@ def test_plan_cap_refuses_before_the_graph_is_built(monkeypatch):
     with pytest.raises(InstanceTooLarge, match="plan cap"):
         verlinde(10**7, (), 3)
     assert time.perf_counter() - start < 0.05
+
+
+@pytest.mark.parametrize("genus", [2**63, 10**400, 10**3000],
+                         ids=["2**63", "10**400", "10**3000"])
+def test_a_huge_genus_is_refused_before_any_work(genus, monkeypatch):
+    # no legs are padded past genus 1, so a genus past the index range asks
+    # for no sequence length, and a |2 - 2g - n| past double range is one
+    # more overflow of the closed form
+    verlinde_module = importlib.import_module("verkit.verlinde")
+
+    def build(*args):
+        raise AssertionError("built a standard graph or a sewing side")
+
+    monkeypatch.setattr(verlinde_module, "standard_graph", build)
+    monkeypatch.setattr(verlinde_module, "_side", build)
+    with pytest.raises(InstanceTooLarge, match="plan cap"):
+        verlinde(genus, (), 3)
+    with pytest.raises(InstanceTooLarge, match="sewing steps"):
+        verlinde_factor(genus, (), 3)
+    with pytest.raises(NumericalResidual):
+        verlinde_closed_form(genus, (), 3)
