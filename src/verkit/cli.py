@@ -23,6 +23,7 @@ from .errors import (
     BadWeighting,
     NumericalResidual,
     VerkitError,
+    _decimal,
 )
 from .graphs import MarkedGraph
 from .lattice import (
@@ -39,7 +40,6 @@ from .moduli import (
     hasse_dot,
 )
 from .semigroup import (
-    _decimal,
     degree_one_generation_check,
     gorenstein_check,
     hilbert_cox,

@@ -66,8 +66,9 @@ class NotATree(VerkitError):
 class InstanceTooLarge(VerkitError):
     """Work past one of the fixed caps, each a module constant beside the
     work it bounds: lattice._WALK_CAP, _TENSOR_CAP and _PLAN_CAP,
-    verlinde._LEVEL_CAP and _SEW_CAP, moduli._CLASS_CAP and _FLIP_CAP, and
-    graphs._LEAF_CAP.  Every cap refuses through _check_cap."""
+    verlinde._LEVEL_CAP and _SEW_CAP, moduli._CLASS_CAP and _FLIP_CAP,
+    semigroup._POINT_CAP, and graphs._LEAF_CAP and _STOCK_CAP.  Every cap
+    refuses through _check_cap."""
 
 
 def _decimal(value: int) -> str:

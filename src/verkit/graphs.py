@@ -29,7 +29,7 @@ import json
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     BadGraphDocument,
@@ -610,13 +610,23 @@ def trinode() -> MarkedGraph:
     return new_graph([(0, 0)], [], [(0, 1), (0, 2), (0, 3)])
 
 
+# Legs a caterpillar may have, and with it the legs plus genus of a
+# standard graph, built from the caterpillar with n + g legs.  Counting
+# stops far below it, at the plan cap's 2,000 vertices; standard_graph
+# of genus 10^5, the largest, builds 199,998 vertices in about 0.4 s and
+# peaks at 138 MB.
+_STOCK_CAP = 10**5
+
+
 def caterpillar(n: int) -> MarkedGraph:
     """The trivalent tree with n >= 3 legs along a spine.
 
     Spine vertices 0..n-3; legs 1, 2 at one end, n-1, n at the other, one
-    leg per middle vertex in order.  BadWeighting if n is not an integer.
+    leg per middle vertex in order.  BadWeighting if n is not an integer,
+    InstanceTooLarge past _STOCK_CAP legs, before any vertex is made.
     """
     _, n = _check_signature(0, n)
+    _check_cap(n, _STOCK_CAP, "legs of a caterpillar", name="stock graph cap")
     s = n - 2
     verts = [(i, 0) for i in range(s)]
     edges = [(i, i + 1) for i in range(s - 1)]

@@ -417,17 +417,18 @@ def count_points(graph: MarkedGraph, leaf_weights, level: int) -> int:
 # -- the literal oracle ----------------------------------------------------
 
 
-def _check_walks(width: int, bounds) -> None:
-    """InstanceTooLarge when walks of width slots, one with values in
-    0..bound for each of the bounds, pass _WALK_CAP in all, each counted a
-    priori as (bound + 1) ** width assignments.  The sum stops once it
-    passes the cap, so its time does not grow with the bounds."""
+def _check_walks(width: int, bounds) -> int:
+    """The assignments of walks of width slots, one with values in 0..bound
+    for each of the bounds, each counted a priori as (bound + 1) ** width;
+    InstanceTooLarge when they pass _WALK_CAP in all.  The sum stops once
+    it passes the cap, so its time does not grow with the bounds."""
     total = 0
     for bound in bounds:
         total += max(bound + 1, 0) ** width
         if total > _WALK_CAP:
             break
     _check_cap(total, _WALK_CAP, "assignments", name="work cap")
+    return total
 
 
 def _walk(graph: MarkedGraph, legs, bound: int, admissible) -> Iterator[tuple]:

@@ -241,45 +241,28 @@ def enumerate_stable(genus: int, n_legs: int) -> tuple[MarkedGraph, ...]:
 
 
 def _expansions(graph: MarkedGraph, e: int):
-    """The three trivalent re-expansions of contracting non-loop edge e.
+    """The two flips of non-loop edge e: its nearest-neighbour interchanges.
 
-    The four slots adjacent to the edge get redistributed over its two
-    endpoints in the three possible 2+2 ways (one of which rebuilds the
-    input graph).
+    Of the four other half-edges at its ends u and v (edge ends, in edge
+    order, then legs), the first goes to u with each half-edge that sat at
+    the other end in turn, and the other two go to v.  The third 2+2 split
+    would rebuild the input, so it is never made.
     """
     u, v = graph.edges[e]
     ne = len(graph.edges)
-    items = []  # (slot, end): a loop or a parallel edge has both ends here
-    for j, (a, b) in enumerate(graph.edges):
-        if j == e:
-            continue
-        if a in (u, v):
-            items.append((j, 0))
-        if b in (u, v):
-            items.append((j, 1))
-    for vtx, lab in graph.legs:
-        if vtx in (u, v):
-            items.append((ne + lab - 1, 0))
-    assert len(items) == 4, "trivalent endpoints leave exactly four slots"
-    for partner in (1, 2, 3):
-        side_u = {items[0], items[partner]}
-
-        def at(item):
-            return u if item in side_u else v
-
-        edges = []
-        for j, (a, b) in enumerate(graph.edges):
-            if j == e:
-                edges.append((u, v))
-                continue
-            na = at((j, 0)) if a in (u, v) else a
-            nb = at((j, 1)) if b in (u, v) else b
-            edges.append((na, nb))
-        legs = [
-            (at((ne + lab - 1, 0)) if vtx in (u, v) else vtx, lab)
-            for vtx, lab in graph.legs
-        ]
-        yield new_graph(graph.vertices, edges, legs)
+    # every half-edge's vertex: edge j's ends at 2j and 2j + 1, then legs
+    ends = [x for pair in graph.edges for x in pair]
+    ends += [x for x, _ in graph.legs]
+    near = [i for i, x in enumerate(ends) if x in (u, v) and i // 2 != e]
+    first = near[0]
+    for partner in near[1:]:
+        if ends[partner] != ends[first]:
+            moved = [u if i in (first, partner) else v if i in near else x
+                     for i, x in enumerate(ends)]
+            yield new_graph(graph.vertices,
+                            list(zip(moved[:2 * ne:2], moved[1:2 * ne:2])),
+                            [(x, lab) for x, (_, lab)
+                             in zip(moved[2 * ne:], graph.legs)])
 
 
 def flip_neighbors(graph: MarkedGraph) -> tuple[FlipMove, ...]:

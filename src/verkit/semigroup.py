@@ -43,6 +43,13 @@ from .lattice import (
     _level_points,
 )
 
+# Points a semigroup check may keep, judged before the first walk on the
+# sum of its walks' a-priori assignments, which bounds them.  A degree-1
+# certificate holds one generator per level, so its memory grows faster
+# than the points: on a trinode, degree 1 to bound 65 peaks at 565 MB and
+# Gorenstein to bound 56 at 151 MB, the largest bounds it admits.
+_POINT_CAP = 5 * 10**6
+
 
 # -- Hilbert tables --------------------------------------------------------
 
@@ -162,13 +169,16 @@ def gorenstein_check(
     (interior point, semigroup point it decomposes through), in the order
     of interior_points; raises CounterexampleFound on the first point that
     is in one list and not the other.  InstanceTooLarge, before the first
-    walk, when all the walks together pass the walk's work cap.
+    walk, when all the walks together pass the walk's work cap, or the
+    points they may keep pass _POINT_CAP.
     """
     require_trivalent(graph)
     omega = dualizing_weighting(graph)
     levels = range(_integer(level_bound, "level bound") + 1)
-    _check_walks(len(graph.edges) + graph.n_legs,
-                 (b for level in levels for b in (level, level - omega.level)))
+    walks = _check_walks(len(graph.edges) + graph.n_legs, (
+        b for level in levels for b in (level, level - omega.level)))
+    _check_cap(walks, _POINT_CAP, "assignments bounding the points kept",
+               name="point cap")
     certificates = []
     for level in levels:
         interior = list(_level_points(graph, None, level, _interior_triple))
@@ -208,12 +218,16 @@ def degree_one_generation_check(
     point's certificate is the first generator whose difference is a
     certified level-(l-1) point, followed by that point's certificate.
     InstanceTooLarge, before the first walk, when the generator walk and
-    every level's walk together pass the walk's work cap.
+    every level's walk together pass the walk's work cap, or the points
+    they may keep pass _POINT_CAP.
     """
     require_tree(tree)
     require_trivalent(tree)
     levels = range(_integer(level_bound, "level bound") + 1)
-    _check_walks(len(tree.edges) + tree.n_legs, itertools.chain((1,), levels))
+    walks = _check_walks(len(tree.edges) + tree.n_legs,
+                         itertools.chain((1,), levels))
+    _check_cap(walks, _POINT_CAP, "assignments bounding the points kept",
+               name="point cap")
     # each generator with its slot-value tuple (edges, then legs)
     generators = [
         (gen, gen.edge_weights + gen.leg_weights)

@@ -72,7 +72,8 @@ def standard_graph(genus: int, n_legs: int) -> MarkedGraph:
 
     Memoised, so repeated queries of a signature share one graph and with
     it one compiled contraction plan.  BadWeighting for a genus or leg
-    count that is not an integer, UnstableSignature below stability.
+    count that is not an integer, UnstableSignature below stability, and
+    InstanceTooLarge when n + g passes graphs._STOCK_CAP.
 
     The caterpillar with n + g legs, whose legs above n are each replaced
     by an edge to a pendant vertex with a loop: the n legs first and then

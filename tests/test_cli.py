@@ -246,6 +246,24 @@ def test_whole_check_past_the_work_cap_exits_two(trinode_file, capsys):
         assert "InstanceTooLarge" in err and "work cap" in err
 
 
+def test_whole_check_past_the_point_cap_exits_two(trinode_file, capsys,
+                                                 monkeypatch):
+    # the bounds the work cap alone admits would keep gigabytes of points;
+    # they are refused before the first walk
+    def walk(*args):
+        raise AssertionError("walked before sizing the request")
+
+    monkeypatch.setattr(importlib.import_module("verkit.semigroup"),
+                        "_level_points", walk)
+    for command, bound in (("gorenstein", "119"), ("gen1", "139")):
+        start = time.perf_counter()
+        code = main([command, "--graph", trinode_file, "--bound", bound])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "InstanceTooLarge" in err and "point cap" in err
+
+
 def test_gorenstein_cli(trinode_file, capsys):
     code = main(["gorenstein", "--graph", trinode_file, "--bound", "6"])
     assert code == 0

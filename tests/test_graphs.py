@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from verkit import (
     graphs,
     loop_with_leg,
     new_graph,
+    standard_graph,
     theta_graph,
     trinode,
 )
@@ -40,6 +42,28 @@ def test_stock_graph_signatures():
     assert loop_with_leg().signature() == (1, 1)
     for g in (trinode(), caterpillar(5), dumbbell(), theta_graph(), loop_with_leg()):
         assert g.is_trivalent()
+
+
+def test_stock_graphs_refuse_sizes_past_the_stock_cap(monkeypatch):
+    # judged before the first vertex, so a size past memory is refused
+    # at once; standard_graph builds through the caterpillar with n + g legs.
+    # The sizes just past the cap come first: without the cap they fail
+    # here cheaply, before the sizes that would exhaust memory are tried.
+    def build(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(graphs, "new_graph", build)
+    for make in (lambda: caterpillar(100_001),
+                 lambda: standard_graph(10**5, 1),
+                 lambda: caterpillar(10**5000),
+                 lambda: standard_graph(10**5000, 0)):
+        start = time.perf_counter()
+        with pytest.raises(InstanceTooLarge, match="stock graph cap 100000$"):
+            make()
+        assert time.perf_counter() - start < 0.05
+    # the cap itself is admitted, as far as the build
+    with pytest.raises(AssertionError, match="a graph was built"):
+        caterpillar(100_000)
 
 
 def test_caterpillar_3_is_trinode():

@@ -210,6 +210,43 @@ def test_flip_moves_reverify():
             assert mv.ancestor.canonical_label in back
 
 
+def test_flips_build_two_graphs_per_non_loop_edge(monkeypatch):
+    # a non-loop edge has two nearest-neighbour interchanges; the third 2+2
+    # split of the half-edges at its ends is the input's own, and is never
+    # built
+    classes = enumerate_trivalent(0, 6) + enumerate_trivalent(2, 1)
+    built = []
+
+    def build(*args):
+        built.append(args)
+        return new_graph(*args)
+
+    monkeypatch.setattr(moduli, "new_graph", build)
+    for g in classes:
+        flip_neighbors(g)
+    non_loops = sum(u != v for g in classes for u, v in g.edges)
+    assert len(built) == 2 * non_loops == 648
+
+
+def test_flip_moves_are_pinned():
+    """Every move's neighbour and ancestor, as built, and its edge hash to
+    the digest recorded when each edge still built all three 2+2 splits."""
+    sigs = [(0, 3), (0, 4), (0, 5), (0, 6), (1, 1), (1, 2), (1, 3), (2, 0),
+            (2, 1), (2, 2), (3, 0)]
+    digest = hashlib.sha256()
+    moves = 0
+    for sig in sigs:
+        for g in enumerate_trivalent(*sig):
+            for mv in flip_neighbors(g):
+                doc = [mv.neighbor.to_json(), mv.ancestor.to_json(), mv.edge]
+                digest.update(json.dumps(doc, sort_keys=True).encode())
+                moves += 1
+    assert moves == 760
+    assert digest.hexdigest() == (
+        "d43e6596412f32b23afebf91c126a0f53738804a82783b0d015bd32469a6b11e"
+    )
+
+
 def test_flip_complex_matches_flip_neighbors():
     """The flips grouped by common one-edge ancestor are, class by class,
     the ones that re-expanding each edge finds, and no re-expansion

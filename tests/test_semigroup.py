@@ -366,11 +366,38 @@ def test_checks_are_sized_as_a_whole_before_the_first_walk(monkeypatch):
         with pytest.raises(InstanceTooLarge, match="work cap"):
             check(trinode(), 10**18)
         assert time.perf_counter() - start < 1
-    # the largest bounds admitted: 119 and 139
+    # the largest bounds admitted: 56 and 65, by the point cap; the work
+    # cap alone admits 119 and 139
     monkeypatch.setattr(semigroup, "_level_points", lambda *args: iter(()))
-    assert gorenstein_check(trinode(), 119) == (True, ())
-    assert degree_one_generation_check(trinode(), 139) == (True, {})
+    assert gorenstein_check(trinode(), 56) == (True, ())
+    assert degree_one_generation_check(trinode(), 65) == (True, {})
+    for check, bounds in ((gorenstein_check, (57, 119)),
+                          (degree_one_generation_check, (66, 139))):
+        for bound in bounds:
+            with pytest.raises(InstanceTooLarge, match="point cap"):
+                check(trinode(), bound)
     with pytest.raises(InstanceTooLarge, match="work cap"):
         gorenstein_check(trinode(), 120)
     with pytest.raises(InstanceTooLarge, match="work cap"):
         degree_one_generation_check(trinode(), 140)
+
+
+def test_checks_refuse_the_points_they_cannot_keep(monkeypatch):
+    # the walks' a-priori assignments bound the points a check keeps: on a
+    # trinode, 1 + 8 for Gorenstein to bound 1, then 27 more at bound 2
+    # (level 2, and nothing four levels lower); 8 for the generators, then
+    # 1 + 8 for degree 1 to bound 1
+    def walk(*args):
+        raise AssertionError("walked before sizing the request")
+
+    monkeypatch.setattr(semigroup, "_level_points", walk)
+    monkeypatch.setattr(semigroup, "_POINT_CAP", 10)
+    for check, bound, kept in ((gorenstein_check, 2, 36),
+                               (degree_one_generation_check, 1, 17)):
+        with pytest.raises(InstanceTooLarge, match=(
+                f"^{kept} assignments bounding the points kept exceeds "
+                f"the point cap 10$")):
+            check(trinode(), bound)
+    monkeypatch.setattr(semigroup, "_level_points", lambda *args: iter(()))
+    assert gorenstein_check(trinode(), 1) == (True, ())
+    assert degree_one_generation_check(trinode(), 0) == (True, {})
